@@ -1,26 +1,25 @@
-"""Adaptive-planner benchmark: one probe beats the fixed thresholds.
+"""Adaptive-planner benchmark: one probe vs the fixed defaults, per cell.
 
-ROADMAP item 2's second half replaces the fixed engine/schedule
-heuristics (global ``avg_degree >= 2.0`` picks the batched engine, a
-hard-coded chunks-per-worker sizes dynamic chunks) with a per-query
-plan derived from the admission probe's measurements.  The fixed
-thresholds look at the *graph*; the probe looks at the *query* — and
-the two disagree exactly when a pattern's label-filtered frontier has a
-different density than the graph around it.
+The adaptive planner (``plan="auto"``) spends the admission probe's
+measurements on schedule, chunking, worker and approximate-tier choices;
+the fixed baseline (``plan="fixed"``) keeps the static defaults.  Both
+run the same engine — the frontier-batched one, the ``engine="auto"``
+default on every graph — so each cell also times the reference
+interpreter to pin the default engine's margin over it.
 
 The sweep crosses frontier density (sparse / dense), pattern size
-(small / large) and degree distribution (uniform / power-law), then
-adds the cell the planner was built for: a near-forest graph whose
-global average degree keeps the fixed heuristic on the pure-Python
-reference engine, hiding a dense fully-labeled core where the probe
-measures high per-start expansion and routes the query to the batched
-engine instead.  Timings are warm (probe cached on the session,
-best-of-rounds) and every cell asserts count parity, so the ratios are
-engine choice, not noise or wrong answers.
+(small / large) and degree distribution (uniform / power-law), plus a
+near-forest graph hiding a dense fully-labeled core.  The two
+``sparse-uniform`` cells and the labeled-core cell sit below the retired
+average-degree-2.0 cutoff that used to send the default to the
+interpreter.  Timings are warm (probe cached on the session,
+best-of-rounds) and every cell asserts count parity across all three
+arms.
 
 Acceptance (pinned in ``tests/test_bench_schema.py``): adaptive never
-loses a cell by more than 5% (``speedup >= 0.95``) and wins the
-labeled-core cell by at least 1.3x.
+loses a cell by more than 5% (``speedup >= 0.95``), and the default is
+at least 4x the interpreter on every cell
+(``default_speedup_vs_reference >= 4``).
 
 Run the full measurement (writes ``BENCH_planner.json``)::
 
@@ -39,7 +38,7 @@ import pytest
 
 from benchmarks.common import timed
 
-from repro.core.session import MiningSession, batch_preferred
+from repro.core.session import MiningSession
 from repro.graph.builder import from_edges
 from repro.graph.generators import erdos_renyi, power_law
 from repro.pattern.generators import generate_chain, generate_clique
@@ -48,17 +47,23 @@ from repro.runtime import planner
 REPO_ROOT = Path(__file__).resolve().parents[1]
 OUTPUT_PATH = REPO_ROOT / "BENCH_planner.json"
 
-ROUNDS = 5
+# fixed and auto run the same engine, so their ratio is host noise
+# around 1.0: nine rounds, alternating which arm goes first, keep
+# best-of noise inside the 5% gate on a shared host.  The interpreter
+# arm only needs to clear a 4x gate and is slow on the large cells, so
+# it runs fewer rounds, after the others.
+ROUNDS = 9
+REFERENCE_ROUNDS = 3
 
 
 def hub_core_graph(core: int = 300, tail: int = 8000, p: float = 0.15,
                    seed: int = 42):
     """A dense labeled core drowned in unlabeled isolated vertices.
 
-    Global average degree stays below the fixed batched-engine threshold
-    (2.0) while the label-1 frontier — the only starts a fully-labeled
-    clique query visits — is ~``core * p`` dense.  The shape the fixed
-    heuristic cannot see and the probe measures directly.
+    Global average degree stays below 2 while the label-1 frontier — the
+    only starts a fully-labeled clique query visits — is ~``core * p``
+    dense: a global density statistic and the query's own frontier
+    disagree here.
     """
     rng = random.Random(seed)
     edges = [
@@ -96,27 +101,27 @@ def sweep_cells():
 
 
 def _measure_cell(graph, pattern) -> dict:
-    """Warm fixed-vs-auto timings for one cell, with count parity."""
+    """Warm fixed/auto/interpreter timings for one cell, count parity."""
     session = MiningSession(graph)
     fixed_count = session.count(pattern, plan="fixed")  # warm plan + CSR
     auto_count = session.count(pattern, plan="auto")  # warm probe cache
     assert auto_count == fixed_count
     chosen = session.last_query_plan
-    fixed_engine = (
-        "accel-batch"
-        if batch_preferred(session.ordered, session.plan_for(pattern))
-        else "reference"
-    )
-    fixed_rounds, auto_rounds = [], []
-    for _ in range(ROUNDS):
-        elapsed, got = timed(lambda: session.count(pattern, plan="fixed"))
+    fixed_engine = session._prepare(pattern, session.options())[2]
+    rounds = {"fixed": [], "auto": []}
+    for i in range(ROUNDS):
+        for mode in ("fixed", "auto") if i % 2 == 0 else ("auto", "fixed"):
+            elapsed, got = timed(lambda: session.count(pattern, plan=mode))
+            assert got == fixed_count
+            rounds[mode].append(elapsed)
+    reference_rounds = []
+    for _ in range(REFERENCE_ROUNDS):
+        elapsed, got = timed(lambda: session.count(pattern, engine="reference"))
         assert got == fixed_count
-        fixed_rounds.append(elapsed)
-        elapsed, got = timed(lambda: session.count(pattern, plan="auto"))
-        assert got == fixed_count
-        auto_rounds.append(elapsed)
-    fixed_best = min(fixed_rounds)
-    auto_best = min(auto_rounds)
+        reference_rounds.append(elapsed)
+    fixed_best = min(rounds["fixed"])
+    auto_best = min(rounds["auto"])
+    reference_best = min(reference_rounds)
     estimate = chosen.estimate
     return {
         "n": graph.num_vertices,
@@ -124,6 +129,7 @@ def _measure_cell(graph, pattern) -> dict:
         "pattern_vertices": pattern.num_vertices,
         "matches": int(fixed_count),
         "rounds": ROUNDS,
+        "reference_rounds": REFERENCE_ROUNDS,
         "fixed_engine": fixed_engine,
         "auto_engine": chosen.engine,
         "auto_schedule": chosen.schedule,
@@ -135,7 +141,9 @@ def _measure_cell(graph, pattern) -> dict:
         },
         "fixed_seconds": fixed_best,
         "auto_seconds": auto_best,
+        "reference_seconds": reference_best,
         "speedup": fixed_best / auto_best,
+        "default_speedup_vs_reference": reference_best / fixed_best,
     }
 
 
@@ -152,62 +160,66 @@ def test_planner_smoke():
 
     core = MiningSession(hub_core_graph(core=60, tail=600))
     labeled = labeled_clique(3)
-    assert core.count(labeled, plan="auto") == core.count(
-        labeled, plan="fixed"
-    )
-    # The fixed heuristic reads the near-forest global degree; the probe
-    # reads the dense labeled frontier.  They must disagree here.
-    assert not batch_preferred(core.ordered, core.plan_for(labeled))
+    expected = core.count(labeled, engine="reference")
+    assert core.count(labeled, plan="auto") == expected
+    assert core.count(labeled, plan="fixed") == expected
+    # A near-forest graph still runs the batched engine under both plans.
+    assert core.ordered.avg_degree() < 2.0
     assert core.last_query_plan.engine == "accel-batch"
-    plan = planner.plan_query(core, labeled)
-    assert plan.estimate.avg_expansion >= planner.MIN_BATCH_EXPANSION
+    assert planner.plan_query(core, labeled).engine == "accel-batch"
 
 
 @pytest.mark.paper_artifact("planner")
 def test_planner_emits_json(capsys):
-    """Full sweep: adaptive >= fixed per cell, big win on the skewed cell."""
+    """Full sweep: adaptive ties fixed, the default beats the interpreter."""
     cells = {}
     for name, (graph, pattern) in sweep_cells().items():
         cells[name] = _measure_cell(graph, pattern)
 
     speedups = {name: cell["speedup"] for name, cell in cells.items()}
+    vs_reference = {
+        name: cell["default_speedup_vs_reference"]
+        for name, cell in cells.items()
+    }
     payload = {
         "bench": "planner",
         "rounds_per_cell": ROUNDS,
         "note": (
             "Adaptive planner (plan='auto': one bounded probe chooses "
-            "engine, schedule, chunking and workers per query) against "
-            "the fixed-threshold baseline (plan='fixed': global "
-            "avg_degree >= 2.0 picks the batched engine).  Warm "
-            "best-of-rounds session.count timings, count parity "
+            "schedule, chunking and workers per query) against the "
+            "fixed baseline (plan='fixed': static defaults); both run "
+            "the frontier-batched default engine, and each cell also "
+            "times the reference interpreter (engine='reference').  "
+            "Warm best-of-rounds session.count timings, count parity "
             "asserted per round; speedup = fixed_seconds / "
-            "auto_seconds.  The sweep crosses frontier density, "
-            "pattern size and degree distribution; "
-            "'skewed-labeled-core' is the acceptance cell — a "
-            "near-forest graph (global avg degree < 2 keeps the fixed "
-            "heuristic on the reference engine) hiding a dense "
-            "fully-labeled core that the probe routes to the batched "
-            "engine.  Acceptance: every cell >= 0.95, the labeled-core "
-            "cell >= 1.3."
+            "auto_seconds, default_speedup_vs_reference = "
+            "reference_seconds / fixed_seconds.  The sweep crosses "
+            "frontier density, pattern size and degree distribution; "
+            "the sparse-uniform cells (avg degree ~1.6) and "
+            "'skewed-labeled-core' (a near-forest graph hiding a dense "
+            "fully-labeled core) sit below the retired 2.0 degree "
+            "cutoff.  Acceptance: speedup >= 0.95 and "
+            "default_speedup_vs_reference >= 4 on every cell."
         ),
         "cells": cells,
         "acceptance": {
             "min_speedup": min(speedups.values()),
             "max_speedup": max(speedups.values()),
-            "skewed_cell": "skewed-labeled-core",
-            "skewed_speedup": speedups["skewed-labeled-core"],
+            "min_default_speedup_vs_reference": min(vs_reference.values()),
+            "max_default_speedup_vs_reference": max(vs_reference.values()),
         },
     }
     OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
     with capsys.disabled():
-        print("\n=== adaptive planner vs fixed thresholds ===")
+        print("\n=== adaptive planner vs fixed defaults vs interpreter ===")
         for name, cell in cells.items():
             print(
-                f"{name:24s} {cell['fixed_engine']:11s}->"
-                f"{cell['auto_engine']:11s} fixed "
+                f"{name:24s} {cell['auto_engine']:11s} fixed "
                 f"{cell['fixed_seconds'] * 1e3:8.2f}ms auto "
-                f"{cell['auto_seconds'] * 1e3:8.2f}ms "
-                f"x{cell['speedup']:.3f}"
+                f"{cell['auto_seconds'] * 1e3:8.2f}ms reference "
+                f"{cell['reference_seconds'] * 1e3:8.2f}ms "
+                f"x{cell['speedup']:.3f} "
+                f"ref-x{cell['default_speedup_vs_reference']:.1f}"
             )
         print(f"wrote {OUTPUT_PATH}")

@@ -131,9 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--engine",
-        choices=["auto", "fused", "accel", "accel-batch", "reference"],
+        choices=["auto", "fused", "accel-batch", "reference"],
         default="auto",
-        help="pin an engine ('auto' lets the planner choose)",
+        help="pin an engine ('auto' runs the batched engine, fused for "
+        "multi-pattern workloads)",
     )
     p.set_defaults(func=commands.cmd_explain)
 
@@ -148,18 +149,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--engine",
-        choices=["auto", "accel", "accel-batch", "reference"],
+        choices=["auto", "accel-batch", "reference"],
         default="auto",
-        help="engine selection (auto dispatches by graph density; "
+        help="engine selection (auto runs the frontier-batched engine; "
         "--profile forces the reference engine)",
     )
     p.add_argument(
         "--plan",
         choices=["fixed", "auto"],
         default="fixed",
-        help="'auto' replaces the fixed engine/schedule thresholds with "
-        "the probe-driven adaptive planner ('fixed' is the ablation "
-        "baseline)",
+        help="'auto' lets the probe-driven planner choose schedule, "
+        "chunking, workers and approximate routing ('fixed' keeps the "
+        "static defaults as the ablation baseline)",
     )
     p.add_argument(
         "--approx",
@@ -227,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=3, help="motif size (vertices)")
     p.add_argument(
         "--engine",
-        choices=["auto", "fused", "accel", "accel-batch", "reference"],
+        choices=["auto", "fused", "accel-batch", "reference"],
         default=None,
         help="engine selection; 'fused' forces the multi-pattern runner, "
         "'accel-batch' ablates it with sequential per-pattern execution",
@@ -267,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--engine",
-        choices=["auto", "fused", "accel", "accel-batch", "reference"],
+        choices=["auto", "fused", "accel-batch", "reference"],
         default=None,
         help="engine selection for each round's structural matches; "
         "'fused' forces the round onto one shared frontier walk",

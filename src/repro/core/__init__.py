@@ -9,8 +9,6 @@ from .api import (
     match_batches,
     match_batches_many,
     aggregate,
-    accel_preferred,
-    batch_preferred,
 )
 from .session import (
     ExecOptions,
@@ -55,8 +53,6 @@ __all__ = [
     "match_batches",
     "match_batches_many",
     "aggregate",
-    "accel_preferred",
-    "batch_preferred",
     "ExecOptions",
     "MiningSession",
     "MultiPatternPlan",

@@ -5,33 +5,34 @@ machine; CPython cannot match that with interpreted merge loops.  This
 module provides vectorized versions of the :mod:`repro.core.candidates`
 kernels operating on sorted ``numpy`` arrays — the closest
 offline-available stand-in for the paper's compiled set operations — and
-builds them into :class:`AcceleratedEngine`, a drop-in vectorized
-analogue of :func:`repro.core.engine.run_tasks`.
+builds them into :class:`FrontierBatchedEngine`, the production engine:
+a level-synchronous analogue of :func:`repro.core.engine.run_tasks` that
+extends every live partial match of a matching-order level per numpy
+dispatch.  :func:`fused_run` walks one shared frontier for a group of
+patterns on top of it.
 
 The engine covers the **full pattern-feature matrix** of the paper:
 
 * edge-induced and vertex-induced matching (anti-edge difference
   kernels via :func:`np_difference`, Theorem 3.1);
-* anti-edges and anti-vertices (§4.3) — core anti-edges subtract
-  neighbor arrays during core matching, non-core anti-neighbors subtract
-  during completion, anti-vertex checks run on materialized matches;
+* anti-edges and anti-vertices (§4.3) — anti-edges become difference
+  masks during expansion, anti-vertex checks run on materialized
+  matches;
 * labeled patterns — :class:`AcceleratedGraphView` keeps a label array
   plus label-partitioned vertex arrays, so label constraints become
   boolean masks and label-restricted range scans instead of per-vertex
   Python comparisons;
-* per-match callbacks via batched final-step match materialization, and
-  the enumeration-free tail count when no callback needs the matches.
+* per-match callbacks and row batches in the reference engine's DFS
+  order, and the enumeration-free tail count when no callback needs the
+  matches.
 
-Counts must agree **exactly** with the reference engine on every
-feature combination — ``tests/test_accel.py`` fuzzes that equivalence
-against both the reference engine and the networkx oracles.
-:mod:`repro.core.session` auto-dispatches here when a run qualifies (no
-stats / timer attached; an early-termination control additionally rules
-out the per-match engine, which has no polling hook) *and* sits in the
-vectorized winning regime (dense graph, multi-vertex core — see
-:func:`repro.core.session.accel_preferred`): numpy per-call overhead
-beats bisect loops only once adjacency arrays are large.  The crossover
-is measured in ``benchmarks/bench_ablations.py::test_engine_dispatch``.
+Counts *and* callback order must agree **exactly** with the reference
+interpreter on every feature combination — ``tests/test_accel.py``
+fuzzes that equivalence against both the reference engine and the
+networkx oracles.  :mod:`repro.core.session` dispatches every run here
+unless a ``stats`` / ``timer`` hook pins the interpreter; the batched
+engine beats the interpreter on every measured graph, sparse and tiny
+ones included (``benchmarks/bench_engine_frontier.py``).
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ __all__ = [
     "np_intersect_many",
     "np_difference",
     "AcceleratedGraphView",
-    "AcceleratedEngine",
     "FrontierBatchedEngine",
     "HubMembershipIndex",
     "ROARING_HUB_MIN_DEGREE",
@@ -63,7 +63,6 @@ __all__ = [
     "ACCEL_FRONTIER_CHUNK",
     "frontier_start_order",
     "shared_view",
-    "accelerated_count",
     "frontier_count",
     "fused_run",
 ]
@@ -409,274 +408,6 @@ def shared_view(ordered: DataGraph) -> AcceleratedGraphView:
     return view
 
 
-class AcceleratedEngine:
-    """Vectorized analogue of the reference engine over a CSR view.
-
-    Semantics mirror :class:`repro.core.engine._Run` exactly — same task
-    order, same candidate order, same injectivity and partial-order
-    handling — so counts *and* callback invocation order are identical.
-    The engine does not track :class:`~repro.core.engine.EngineStats` or
-    stage timers; runs that need profiling use the reference engine
-    (api dispatch enforces this).
-    """
-
-    __slots__ = (
-        "view",
-        "labels",
-        "n",
-        "plan",
-        "steps",
-        "on_match",
-        "count_only",
-        "can_count_tail",
-        "mapping",
-        "used",
-        "total",
-        "control",
-        "budget",
-    )
-
-    def __init__(self, view: AcceleratedGraphView):
-        self.view = view
-        self.labels = view.labels
-        self.n = view.num_vertices
-        self.control = None
-        self.budget = None
-
-    # ------------------------------------------------------------------
-    # Entry point
-    # ------------------------------------------------------------------
-
-    def run(
-        self,
-        plan: ExplorationPlan,
-        start_vertices: Iterable[int] | None = None,
-        on_match: Callable[[Match], None] | None = None,
-        count_only: bool = False,
-        control=None,
-        budget=None,
-    ) -> int:
-        """Run matching tasks over ``start_vertices``; return the count.
-
-        Vertex ids (tasks, matches) are in the degree-ordered graph's
-        numbering, exactly like :func:`repro.core.engine.run_tasks`.
-        ``control`` is polled once per start task and inside
-        ``_core_matched`` (reference parity: a stop mid-task skips
-        remaining completions but finishes nothing extra); ``budget`` is
-        an armed :class:`~repro.core.callbacks.BudgetMeter` polled once
-        per start task.
-        """
-        pattern = plan.matched_pattern
-        if pattern.is_labeled and self.labels is None:
-            raise MatchingError(
-                "pattern has label constraints but the data graph is unlabeled"
-            )
-        self.plan = plan
-        self.steps = plan.noncore_steps
-        self.on_match = on_match
-        self.count_only = count_only and on_match is None
-        self.can_count_tail = self.count_only and not plan.anti_vertex_checks
-        self.mapping = [-1] * pattern.num_vertices
-        self.used = set()
-        self.total = 0
-        self.control = control
-        self.budget = budget
-        if start_vertices is None:
-            start_vertices = range(self.n - 1, -1, -1)
-        labels = self.labels
-        for start in start_vertices:
-            if control is not None and control.stopped:
-                break
-            if budget is not None:
-                budget.charge_rows(1)
-                budget.check(self.total)
-            for oc in plan.ordered_cores:
-                top = oc.size - 1
-                label = oc.labels[top]
-                if label is not None and labels[start] != label:
-                    continue
-                pos_map = [-1] * oc.size
-                pos_map[top] = start
-                if oc.size == 1:
-                    self._core_matched(oc, pos_map)
-                else:
-                    self._match_core(oc, pos_map, top - 1)
-            if budget is not None:
-                budget.levels_completed += 1
-        return self.total
-
-    # ------------------------------------------------------------------
-    # Core matching (high-to-low over one ordered core)
-    # ------------------------------------------------------------------
-
-    def _core_candidates(self, oc: OrderedCore, pos_map: list[int], i: int) -> np.ndarray:
-        view = self.view
-        upper = pos_map[i + 1]
-        later = oc.later_neighbors(i)
-        label = oc.labels[i]
-        if later:
-            base = np_intersect_many([view.neighbors(pos_map[j]) for j in later])
-            cands = np_bounded(base, -1, upper)
-        elif label is not None:
-            # Position with no later core neighbor but a label: scan the
-            # label partition instead of every vertex below the bound.
-            cands = np_bounded(view.vertices_with_label(label), -1, upper)
-            label = None
-        else:
-            cands = np.arange(upper, dtype=np.int64)
-        for j in (b for a, b in oc.anti_edges if a == i):
-            cands = np_difference(cands, view.neighbors(pos_map[j]))
-        if label is not None and cands.size:
-            cands = cands[self.labels[cands] == label]
-        return cands
-
-    def _match_core(self, oc: OrderedCore, pos_map: list[int], i: int) -> None:
-        cands = self._core_candidates(oc, pos_map, i)
-        if i == 0:
-            if self.count_only and not self.steps and not self.plan.anti_vertex_checks:
-                # Core-only count: each completed core yields one match
-                # per collapsed sequence, counted by array length.
-                self.total += int(cands.size) * len(oc.sequences)
-                return
-            for v in cands.tolist():
-                pos_map[0] = v
-                self._core_matched(oc, pos_map)
-            pos_map[0] = -1
-            return
-        for v in cands.tolist():
-            pos_map[i] = v
-            self._match_core(oc, pos_map, i - 1)
-        pos_map[i] = -1
-
-    def _core_matched(self, oc: OrderedCore, pos_map: list[int]) -> None:
-        """Remap a fully-assigned ordered core through each sequence."""
-        if self.control is not None and self.control.stopped:
-            return
-        mapping = self.mapping
-        used = self.used
-        for seq in oc.sequences:
-            for position, pattern_vertex in enumerate(seq):
-                mapping[pattern_vertex] = pos_map[position]
-            used.update(pos_map)
-            self._complete(0)
-            used.difference_update(pos_map)
-            for pattern_vertex in seq:
-                mapping[pattern_vertex] = -1
-
-    # ------------------------------------------------------------------
-    # Completion (non-core vertices, then anti-vertex checks)
-    # ------------------------------------------------------------------
-
-    def _complete(self, step_index: int) -> None:
-        steps = self.steps
-        if step_index == len(steps):
-            self._report()
-            return
-        step = steps[step_index]
-        view = self.view
-        mapping = self.mapping
-        cands = np_intersect_many(
-            [view.neighbors(mapping[v]) for v in step.neighbors]
-        )
-        for a in step.anti_neighbors:
-            cands = np_difference(cands, view.neighbors(mapping[a]))
-        lo = -1
-        for w in step.lower_bounds:
-            mw = mapping[w]
-            if mw > lo:
-                lo = mw
-        hi = self.n
-        for w in step.upper_bounds:
-            mw = mapping[w]
-            if mw < hi:
-                hi = mw
-        if lo >= 0 or hi < self.n:
-            cands = np_bounded(cands, lo, hi)
-        if step.label is not None and cands.size:
-            cands = cands[self.labels[cands] == step.label]
-
-        used = self.used
-        is_last = step_index + 1 == len(steps)
-        if is_last and self.can_count_tail:
-            # Tail count: subtract already-used candidates (injectivity).
-            overlap = 0
-            for m in used:
-                idx = int(np.searchsorted(cands, m))
-                if idx < cands.size and cands[idx] == m:
-                    overlap += 1
-            self.total += int(cands.size) - overlap
-            return
-        if used and cands.size:
-            cands = np_difference(
-                cands, np.fromiter(sorted(used), dtype=np.int64, count=len(used))
-            )
-        u = step.vertex
-        if is_last and not self.plan.anti_vertex_checks:
-            # Batched match materialization: the final candidate array is
-            # the match set; fill the last slot per candidate and emit.
-            self.total += int(cands.size)
-            on_match = self.on_match
-            if on_match is not None:
-                pattern = self.plan.pattern
-                for v in cands.tolist():
-                    mapping[u] = v
-                    on_match(Match(pattern, tuple(mapping)))
-                mapping[u] = -1
-            return
-        for v in cands.tolist():
-            mapping[u] = v
-            used.add(v)
-            self._complete(step_index + 1)
-            used.discard(v)
-            mapping[u] = -1
-
-    def _report(self) -> None:
-        """A full regular-vertex assignment: verify anti-vertices, emit."""
-        mapping = self.mapping
-        checks = self.plan.anti_vertex_checks
-        if checks:
-            view = self.view
-            used = self.used
-            for check in checks:
-                common = np_intersect_many(
-                    [view.neighbors(mapping[v]) for v in check.neighbors]
-                )
-                for x in common.tolist():
-                    if x not in used:
-                        return  # a forbidden common neighbor exists
-        self.total += 1
-        if self.on_match is not None:
-            self.on_match(Match(self.plan.pattern, tuple(mapping)))
-
-
-def accelerated_count(
-    graph: DataGraph,
-    pattern: Pattern,
-    plan: ExplorationPlan | None = None,
-    view: AcceleratedGraphView | None = None,
-    edge_induced: bool = True,
-    symmetry_breaking: bool = True,
-) -> int:
-    """Vectorized match counting across the full pattern-feature matrix.
-
-    Semantically identical to ``repro.core.count`` — labeled patterns,
-    vertex-induced matching, anti-edges and anti-vertices included.
-    Raises :class:`~repro.errors.MatchingError` only where the reference
-    engine would (labeled pattern on an unlabeled graph).
-    """
-    if plan is None:
-        plan = generate_plan(
-            pattern, edge_induced=edge_induced, symmetry_breaking=symmetry_breaking
-        )
-    ordered, _ = graph.degree_ordered()
-    # A caller-supplied view is only trusted when it was built for this
-    # graph's degree ordering; anything else would silently count over
-    # the wrong adjacency.
-    if view is None or view.graph is not ordered:
-        view = shared_view(ordered)
-    return AcceleratedEngine(view).run(plan, count_only=True)
-
-
 def frontier_start_order(
     labels: np.ndarray | None, num_vertices: int, plan: ExplorationPlan
 ) -> np.ndarray:
@@ -700,11 +431,10 @@ def frontier_start_order(
 
 
 class FrontierBatchedEngine:
-    """Level-synchronous batched analogue of :class:`AcceleratedEngine`.
+    """Level-synchronous batched analogue of the reference interpreter.
 
-    Where :class:`AcceleratedEngine` vectorizes one candidate computation
-    at a time and recurses per partial match, this engine holds *all*
-    live partial matches of a matching-order level in one
+    Where the interpreter recurses per partial match, this engine holds
+    *all* live partial matches of a matching-order level in one
     ``(n_partials, level)`` array and extends the whole level per numpy
     dispatch:
 
@@ -717,8 +447,7 @@ class FrontierBatchedEngine:
       ``searchsorted`` over the view's :meth:`adjacency_keys`);
     * the final completion step is counted with per-row arithmetic
       instead of enumerated (the vectorized tail count), which is why the
-      batched engine also wins on single-vertex-core patterns that the
-      per-match engine's dispatch excludes.
+      batched engine also wins on single-vertex-core patterns.
 
     Exploration order is the reference engine's DFS order: expansion
     preserves row order and candidate order, so leaves surface in DFS
@@ -1590,8 +1319,11 @@ def frontier_count(
 ) -> int:
     """Frontier-batched match counting (full pattern-feature matrix).
 
-    The batched counterpart of :func:`accelerated_count` — semantically
-    identical to ``repro.core.count`` on every feature combination.
+    Semantically identical to ``repro.core.count`` on every feature
+    combination; raises :class:`~repro.errors.MatchingError` only where
+    the reference engine would (labeled pattern on an unlabeled graph).
+    A caller-supplied ``view`` is only trusted when it was built for
+    this graph's degree ordering; anything else is rebuilt.
     """
     if plan is None:
         plan = generate_plan(

@@ -45,37 +45,29 @@ from typing import Any, Callable, Iterable, Mapping, Sequence, Union
 from ..errors import BudgetExceededError, MatchingError, PartialResult
 from ..graph.graph import DataGraph
 from ..pattern.pattern import Pattern
+from . import accel as _accel
 from .callbacks import Aggregator, Budget, ExplorationControl, Match
 from .engine import EngineStats, run_tasks
 from .multipattern import CensusTransform, census_eligible, census_transform
 from .plan import ExplorationPlan, generate_plan
-
-try:  # numpy is an optional accelerator, not a hard dependency
-    from . import accel as _accel
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _accel = None
 
 __all__ = [
     "ExecOptions",
     "MiningSession",
     "MultiPatternPlan",
     "as_session",
-    "accel_preferred",
-    "batch_preferred",
     "group_start_vertices",
-    "ACCEL_MIN_AVG_DEGREE",
-    "ACCEL_BATCH_MIN_AVG_DEGREE",
     "FUSED_MIN_GROUP",
 ]
 
-_ENGINE_CHOICES = ("auto", "accel", "accel-batch", "reference")
+_ENGINE_CHOICES = ("auto", "accel-batch", "reference")
 
 # Guardrail knob values (see ExecOptions.on_budget / ExecOptions.guard).
 _ON_BUDGET_CHOICES = ("raise", "partial")
 _GUARD_CHOICES = ("off", "refuse", "downgrade")
 
 # Dispatch-policy knob values (see ExecOptions.planner): "fixed" keeps
-# the global thresholds, "auto" plans per query from the probe walk.
+# the static defaults, "auto" plans per query from the probe walk.
 _PLANNER_CHOICES = ("fixed", "auto")
 
 # What a session accepts as its graph: the graph itself, an opened .rgx
@@ -89,8 +81,8 @@ def _coerce_graph(source) -> DataGraph:
     Accepts a graph directly, a filesystem path (``str``/``os.PathLike``
     — ``.rgx`` stores open zero-copy via
     :func:`~repro.graph.binary_io.open_graph`), or an already-opened
-    :class:`~repro.graph.binary_io.GraphStore`.  Imports lazily so the
-    numpy-free reference tier keeps working with in-memory graphs.
+    :class:`~repro.graph.binary_io.GraphStore`.  The storage tier is
+    imported lazily, only when a path or store is given.
     """
     if isinstance(source, DataGraph):
         return source
@@ -117,92 +109,26 @@ _MULTI_ENGINE_CHOICES = ("fused",) + _ENGINE_CHOICES
 # the ordinary per-pattern dispatch.  engine="fused" ignores the floor.
 FUSED_MIN_GROUP = 2
 
-# Measured crossover of the *per-match* vectorized engine
-# (bench_ablations.py::test_engine_dispatch): below this average degree
-# the reference interpreter's bisect/slice loops beat numpy's per-call
-# overhead; above it the per-candidate vectorized kernels win.
-ACCEL_MIN_AVG_DEGREE = 128.0
+def _dispatch_engine(engine: str, stats: EngineStats | None, timer) -> str:
+    """Resolve the engine choice to ``reference`` or ``accel-batch``.
 
-# Measured crossover of the *frontier-batched* engine
-# (bench_engine_frontier.py, BENCH_engine.json): batching whole match
-# levels amortizes numpy dispatch across thousands of partials, so the
-# batched engine already wins at avg degree ~2 on graphs of a few
-# hundred vertices (6-12x over the interpreter at degree 2-8, measured).
-# Only near-forest graphs below this line stay on the interpreter.
-ACCEL_BATCH_MIN_AVG_DEGREE = 2.0
-
-
-def accel_preferred(ordered: DataGraph, plan: ExplorationPlan) -> bool:
-    """Whether the *per-match* vectorized engine is expected to win.
-
-    The historic ``engine="auto"`` heuristic, kept for the
-    ``engine="accel"`` ablation tier: dense adjacency arrays amortize
-    numpy call overhead, and a multi-vertex core means real intersection
-    work; sparse graphs and single-vertex-core (tail-count dominated)
-    patterns lose to the reference interpreter here.
-    """
-    return (
-        ordered.avg_degree() >= ACCEL_MIN_AVG_DEGREE and len(plan.core) >= 2
-    )
-
-
-def batch_preferred(ordered: DataGraph, plan: ExplorationPlan) -> bool:
-    """Whether the frontier-batched engine is expected to win this run.
-
-    Frontier batching amortizes per-dispatch overhead across every live
-    partial match of a level, and its tail count is per-row arithmetic,
-    so neither the density floor nor the core-size exclusion of
-    :func:`accel_preferred` applies — only near-forest graphs (average
-    degree below :data:`ACCEL_BATCH_MIN_AVG_DEGREE`) stay on the
-    interpreter.
-    """
-    return ordered.avg_degree() >= ACCEL_BATCH_MIN_AVG_DEGREE
-
-
-def _dispatch_engine(
-    engine: str,
-    control: ExplorationControl | None,
-    stats: EngineStats | None,
-    timer,
-    ordered: DataGraph,
-    plan: ExplorationPlan,
-) -> str:
-    """Resolve the engine choice to ``reference``/``accel``/``accel-batch``.
-
-    ``stats`` and ``timer`` are reference-engine instruments, so they pin
-    the interpreter.  An :class:`ExplorationControl` no longer excludes
-    anything: the frontier-batched engine polls it between frontier
-    blocks and per emitted match, and the per-match ``accel`` engine
-    polls it per start task and per core match, so early-terminating
-    runs (``exists``, capped enumerations, deadlines) dispatch exactly
-    like uncontrolled ones.
+    ``engine="auto"`` means the frontier-batched engine.  ``stats`` and
+    ``timer`` are reference-engine instruments, so they pin the
+    interpreter; forcing the batched engine alongside them raises.  An
+    :class:`ExplorationControl` changes nothing: the batched engine polls
+    it between frontier blocks and per emitted match.
     """
     if engine not in _ENGINE_CHOICES:
         raise ValueError(f"engine must be one of {_ENGINE_CHOICES}, got {engine!r}")
     if engine == "reference":
         return "reference"
-    hooks_free = _accel is not None and stats is None and timer is None
-    if engine == "accel-batch":
-        if not hooks_free:
-            raise MatchingError(
-                "engine='accel-batch' requires numpy and no stats/timer "
-                "hooks; use engine='auto' to fall back to the reference engine"
-            )
-        return "accel-batch"
-    if engine == "accel":
-        if not hooks_free:
-            raise MatchingError(
-                "engine='accel' requires numpy and no stats/timer "
-                "hooks; use engine='auto' to fall back to the reference engine"
-            )
-        return "accel"
-    if not hooks_free:
-        return "reference"
-    if batch_preferred(ordered, plan):
-        return "accel-batch"
-    if accel_preferred(ordered, plan):
-        return "accel"
-    return "reference"
+    hooks_free = stats is None and timer is None
+    if engine == "accel-batch" and not hooks_free:
+        raise MatchingError(
+            "engine='accel-batch' does not support stats/timer hooks; use "
+            "engine='auto' to fall back to the reference engine"
+        )
+    return "accel-batch" if hooks_free else "reference"
 
 
 def _starts_with_labels(ordered: DataGraph, labels) -> list[int]:
@@ -327,8 +253,8 @@ class ExecOptions:
     ``label_index``
         label-filtered start pruning (§6.4); disable for ablations.
     ``flush_size``
-        row-buffer size when ``match_batches`` falls back to a
-        per-match engine.
+        row-buffer size when ``match_batches`` runs on the reference
+        engine.
     ``start_vertices``
         explicit task seeds (runtime partitioning); per-call only.
     ``control`` / ``stats`` / ``timer``
@@ -339,14 +265,14 @@ class ExecOptions:
         ``"auto"``/``"fixed"`` are accepted as a spelling of
         ``planner`` (below) and resolve to it in :meth:`merged`.
     ``planner``
-        dispatch policy: ``"fixed"`` (default) keeps the historical
-        global thresholds; ``"auto"`` runs the bounded probe walk once
-        per (pattern, flags) and lets
-        :func:`repro.runtime.planner.plan_query` choose engine,
-        schedule, frontier chunk and worker count from the measured
-        per-pattern signals.  The probe is shared with the admission
-        guard, so ``guard != "off"`` plus ``planner="auto"`` still
-        probes exactly once.
+        dispatch policy: ``"fixed"`` (default) keeps the static
+        schedule/chunk defaults; ``"auto"`` runs the bounded probe walk
+        once per (pattern, flags) and lets
+        :func:`repro.runtime.planner.plan_query` choose schedule,
+        frontier chunk, worker count and approximate routing from the
+        measured per-pattern signals.  The probe is shared with the
+        admission guard, so ``guard != "off"`` plus ``planner="auto"``
+        still probes exactly once.
     ``schedule`` / ``chunk_hint``
         concurrent-runtime work placement (§5.2, §5.5):
         ``schedule="dynamic"`` (default) has workers pull
@@ -605,8 +531,6 @@ class MiningSession:
     @property
     def view(self):
         """The CSR :class:`AcceleratedGraphView` of the ordered graph."""
-        if _accel is None:
-            raise MatchingError("the CSR view requires numpy")
         return _accel.shared_view(self.ordered)
 
     def options(self, **overrides) -> ExecOptions:
@@ -726,10 +650,7 @@ class MiningSession:
         starts = opts.start_vertices
         if starts is None and opts.label_index:
             starts = self._starts_for(plan, key)
-        selected = _dispatch_engine(
-            opts.engine, opts.control, opts.stats, opts.timer,
-            self.ordered, plan,
-        )
+        selected = _dispatch_engine(opts.engine, opts.stats, opts.timer)
         return plan, starts, selected
 
     def _starts_for(self, plan: ExplorationPlan, key: tuple | None):
@@ -812,8 +733,7 @@ class MiningSession:
         apply), each chunk served by the same fused runner — true
         parallel speedup for motif censuses.  The process path counts
         only (``engine`` must be ``"auto"`` or ``"fused"``; hook options
-        raise), and falls back to the sequential path when numpy is
-        unavailable.
+        raise).
 
         With ``approx=rel_err`` every pattern is *estimated* instead
         (:class:`~repro.mining.sampling.ApproxCount` values): patterns
@@ -834,7 +754,7 @@ class MiningSession:
             from ..mining.sampling import approx_count_many_session
 
             return approx_count_many_session(self, patterns, opts)
-        if num_processes > 1 and _accel is not None:
+        if num_processes > 1:
             from ..runtime.parallel import process_count_many
 
             unsupported = [
@@ -884,10 +804,9 @@ class MiningSession:
         reorders a member's own matches, only interleaves work *between*
         members.
 
-        **Fused dispatch.**  With ``engine="auto"`` (and numpy, no
-        ``stats``/``timer``/``control``/``plan``/``start_vertices``
-        overrides, graph above the batched crossover), patterns sharing a
-        level-0 frontier signature are grouped by
+        **Fused dispatch.**  With ``engine="auto"`` (and no
+        ``stats``/``timer``/``plan``/``start_vertices`` overrides),
+        patterns sharing a level-0 frontier signature are grouped by
         :class:`MultiPatternPlan` and groups of at least
         :data:`FUSED_MIN_GROUP` members run through
         :func:`repro.core.accel.fused_run`: one frontier walk, shared
@@ -914,8 +833,6 @@ class MiningSession:
         :meth:`match_many` dispatch rules — FSM rounds stream every
         structural pattern of a round off one shared frontier walk.
         """
-        if _accel is None:
-            raise MatchingError("match_batches_many requires numpy")
         patterns = list(patterns)
         opts = self.defaults.merged(options)
         return self._run_many(patterns, None, list(on_batches), opts)
@@ -959,8 +876,6 @@ class MiningSession:
         boundaries and inter-batch order are unspecified; the row
         multiset equals :meth:`match`'s match multiset.
         """
-        if _accel is None:
-            raise MatchingError("match_batches requires numpy")
         opts = self.defaults.merged(options)
         return self._run_batches(pattern, on_batch, opts)
 
@@ -1001,7 +916,6 @@ class MiningSession:
     def _run_batches_engines(
         self, pattern: Pattern, on_batch, opts: ExecOptions, meter
     ) -> int:
-        np = _accel.np
         plan, starts, selected = self._prepare(pattern, opts)
         emit = self._batch_emitter(on_batch)
         if selected == "accel-batch":
@@ -1015,6 +929,7 @@ class MiningSession:
                 budget=meter,
             )
 
+        np = _accel.np
         buffer: list[tuple[int, ...]] = []
 
         def flush() -> None:
@@ -1027,26 +942,16 @@ class MiningSession:
             if len(buffer) >= opts.flush_size:
                 flush()
 
-        if selected == "accel":
-            engine_obj = _accel.AcceleratedEngine(self.view)
-            total = engine_obj.run(
-                plan,
-                start_vertices=starts,
-                on_match=collect,
-                control=opts.control,
-                budget=meter,
-            )
-        else:
-            total = run_tasks(
-                self.ordered,
-                plan,
-                start_vertices=starts,
-                on_match=collect,
-                control=opts.control,
-                stats=opts.stats,
-                timer=opts.timer,
-                budget=meter,
-            )
+        total = run_tasks(
+            self.ordered,
+            plan,
+            start_vertices=starts,
+            on_match=collect,
+            control=opts.control,
+            stats=opts.stats,
+            timer=opts.timer,
+            budget=meter,
+        )
         flush()
         return total
 
@@ -1352,16 +1257,6 @@ class MiningSession:
                 control=opts.control,
                 budget=meter,
             )
-        if selected == "accel":
-            accelerated = _accel.AcceleratedEngine(self.view)
-            return accelerated.run(
-                plan,
-                start_vertices=starts,
-                on_match=wrapped,
-                count_only=callback is None,
-                control=opts.control,
-                budget=meter,
-            )
         return run_tasks(
             self.ordered,
             plan,
@@ -1478,14 +1373,11 @@ class MiningSession:
                 "approx/latency_budget are count-only knobs; use "
                 "count(...) or count_many(...) for approximate estimates"
             )
-        workload_estimates: list = []
-        if opts.guard != "off" or opts.planner == "auto":
-            # One probe per distinct pattern, shared by admission and
+        if opts.guard != "off":
+            # One probe per distinct pattern, shared with any later
             # planning; "downgrade" tightens the shared frontier_chunk
-            # to the smallest any member needs.  Per-member engine
-            # planning happens in _run_match (non-fused members); the
-            # workload-level fused decision consumes these estimates
-            # below.
+            # to the smallest any member needs.  Per-member planning
+            # happens in _run_match (non-fused members).
             from ..runtime import guards as _guards
 
             seen_signatures: set = set()
@@ -1494,61 +1386,44 @@ class MiningSession:
                 if signature in seen_signatures:
                     continue
                 seen_signatures.add(signature)
-                estimate = self._guard_estimate(p, opts)
-                workload_estimates.append(estimate)
-                opts = _guards.admit(estimate, opts)
+                opts = _guards.admit(self._guard_estimate(p, opts), opts)
         meter = opts.budget.meter() if opts.budget is not None else None
         # A control no longer pins per-pattern dispatch: fused_run polls
         # it between frontier slices and threads it into every member
         # engine, so deadline/stop tokens ride the fused walk too.
         hooks_free = (
-            _accel is not None
-            and opts.stats is None
+            opts.stats is None
             and opts.timer is None
             and opts.plan is None
             and opts.start_vertices is None
         )
         if engine == "fused" and not hooks_free:
             raise MatchingError(
-                "engine='fused' requires numpy and no stats/timer/"
-                "plan/start_vertices overrides; use engine='auto' to fall "
-                "back to per-pattern dispatch"
+                "engine='fused' does not support stats/timer/plan/"
+                "start_vertices overrides; use engine='auto' to fall back "
+                "to per-pattern dispatch"
             )
 
         multi = None
         plans: list[ExplorationPlan] = []
-        if hooks_free and engine in ("auto", "fused"):
+        if hooks_free and engine in ("auto", "fused") and patterns:
             plans = [
                 self._cached_plan(p, opts.edge_induced, opts.symmetry_breaking)[0]
                 for p in patterns
             ]
-            # batch_preferred depends only on the ordered graph, so one
-            # member answers for the whole workload; under
-            # planner="auto" the members' measured frontiers answer
-            # instead (any member clearing the batched crossover makes
-            # the shared gathers worthwhile for its whole group).
-            fuse = engine == "fused"
-            if not fuse and plans:
-                if opts.planner == "auto" and workload_estimates:
-                    from ..runtime import planner as _qplanner
-
-                    fuse = _qplanner.batch_worthwhile(workload_estimates)
-                else:
-                    fuse = batch_preferred(self.ordered, plans[0])
-            if fuse:
-                labels = self.ordered.labels()
-                if any(pl.matched_pattern.is_labeled for pl in plans) and (
-                    labels is None
-                ):
-                    raise MatchingError(
-                        "pattern has label constraints but the data graph "
-                        "is unlabeled"
-                    )
-                multi = MultiPatternPlan.build(
-                    plans,
-                    label_index=opts.label_index and labels is not None,
-                    min_group=1 if engine == "fused" else FUSED_MIN_GROUP,
+            labels = self.ordered.labels()
+            if any(pl.matched_pattern.is_labeled for pl in plans) and (
+                labels is None
+            ):
+                raise MatchingError(
+                    "pattern has label constraints but the data graph "
+                    "is unlabeled"
                 )
+            multi = MultiPatternPlan.build(
+                plans,
+                label_index=opts.label_index and labels is not None,
+                min_group=1 if engine == "fused" else FUSED_MIN_GROUP,
+            )
 
         totals = [0] * n
         if multi is not None:
@@ -1606,7 +1481,7 @@ class MiningSession:
         else:
             remaining = range(n)
 
-        # Per-pattern engines ("accel", "reference", ...) and non-fusable
+        # Per-pattern engines ("accel-batch", "reference") and non-fusable
         # members keep the exact single-pattern semantics, hooks included.
         for idx in remaining:
             if on_batches[idx] is not None:

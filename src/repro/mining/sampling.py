@@ -79,10 +79,7 @@ from ..core.session import (
 from ..core.multipattern import census_eligible
 from ..pattern.pattern import Pattern
 
-try:  # numpy is an optional accelerator, not a hard dependency
-    from ..core import accel as _accel
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _accel = None
+from ..core import accel as _accel
 
 __all__ = [
     "ApproxCount",
@@ -514,20 +511,17 @@ def _group_runner(
 ) -> Callable[[list[int]], list[int]]:
     """One engine pass for a shared-frontier group of patterns.
 
-    With numpy the whole group rides one :func:`fused_run` per call —
+    By default the whole group rides one :func:`fused_run` per call —
     the sampled frontier walk is shared exactly like an exact fused run
     — and count-only vertex-induced members demultiplex off the shared
     non-induced basis (the census tier; Möbius inversion is linear, so
     per-call restricted counts invert soundly *in expectation* once the
-    caller applies its Horvitz–Thompson scaling).  Without numpy each
-    member runs the reference engine over the same starts.
+    caller applies its Horvitz–Thompson scaling).  A pinned per-pattern
+    engine or an explicit plan instead runs each member on its own over
+    the same starts.
     """
     inner = _inner_opts(opts)
-    use_fused = (
-        _accel is not None
-        and opts.plan is None
-        and opts.engine in ("auto", "fused")
-    )
+    use_fused = opts.plan is None and opts.engine in ("auto", "fused")
     if not use_fused:
 
         def run_sequential(starts: list[int]) -> list[int]:

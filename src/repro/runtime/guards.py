@@ -91,7 +91,7 @@ DOWNGRADE_APPROX_REL_ERR = 0.05
 
 
 def _hub_degree_floor(n: int) -> int:
-    """The accel tier's hub threshold, numpy-free (max(128, n / 64))."""
+    """The batched engine's default hub threshold (max(128, n / 64))."""
     return max(128, n // 64)
 
 

@@ -3,13 +3,13 @@
 ``parallel_match`` reproduces Peregrine's architecture faithfully: worker
 threads pull degree-weighted frontier chunks from a shared atomic-counter
 scheduler, run the engine with thread-local aggregators, and honor a
-shared early-termination control.  When a run qualifies (numpy present)
-the workers drive the frontier-batched engine over chunks of the level-0
-frontier — numpy kernels release the GIL, so the thread pool gets real
-parallelism on the hot loop, and each worker's engine polls the shared
-control between frontier blocks and per emitted match; runs that need
-stats or stage timers stay on the reference interpreter, where CPython's
-GIL serializes the list operations.
+shared early-termination control.  By default the workers drive the
+frontier-batched engine over chunks of the level-0 frontier — numpy
+kernels release the GIL, so the thread pool gets real parallelism on the
+hot loop, and each worker's engine polls the shared control between
+frontier blocks and per emitted match; ``engine="reference"`` keeps the
+threads on the interpreter (per-thread :class:`EngineStats`), where
+CPython's GIL serializes the list operations.
 
 Process-level scaling is ``process_count`` — a process pool that shares
 the CSR adjacency arrays of the accelerated view with every worker
@@ -54,15 +54,14 @@ from ..errors import (
     QueryCancelledError,
     WorkerCrashError,
 )
+from ..core import accel
 from ..core.callbacks import Aggregator, ExplorationControl, Match
 from ..core.engine import EngineStats, run_tasks
 from ..core.plan import generate_plan
 from ..core.session import (
     MiningSession,
     MultiPatternPlan,
-    accel_preferred,
     as_session,
-    batch_preferred,
     group_start_vertices,
 )
 from ..graph.graph import DataGraph
@@ -88,6 +87,7 @@ __all__ = [
 ]
 
 _SCHEDULE_CHOICES = ("dynamic", "static")
+_SHARE_MODES = ("fork", "shm", "mmap")
 
 # Crash-tolerance knobs.  A chunk whose worker dies is requeued up to
 # MAX_CHUNK_RETRIES times before the run gives up with WorkerCrashError
@@ -204,36 +204,19 @@ class ParallelResult:
         return 0.0 if hi == 0 else (hi - lo) / hi
 
 
-def _thread_engine_mode(
-    engine: str,
-    accel,
-    ordered: DataGraph,
-    plan,
-) -> str:
+def _thread_engine_mode(engine: str) -> str:
     """Resolve the thread-pool engine: ``reference`` or ``accel-batch``.
 
-    Mirrors the :mod:`repro.core.session` auto-dispatch, restricted to
-    the two engines that make sense under threads: the reference
-    interpreter (owns stats) and the frontier-batched engine (numpy
-    kernels drop the GIL, so workers overlap).  Both honor a shared
-    early-termination control — the batched engine polls it between
-    frontier blocks and per emitted match.
+    ``auto`` means the frontier-batched engine (numpy kernels drop the
+    GIL, so workers overlap); ``reference`` keeps the interpreter, which
+    owns the per-thread stats.  Both honor a shared early-termination
+    control — the batched engine polls it between frontier blocks and
+    per emitted match.
     """
     choices = ("auto", "accel-batch", "reference")
     if engine not in choices:
         raise ValueError(f"engine must be one of {choices}, got {engine!r}")
-    if engine == "reference":
-        return "reference"
-    if engine == "accel-batch":
-        if accel is None:
-            raise MatchingError(
-                "engine='accel-batch' under threads requires numpy; "
-                "use engine='auto' to fall back"
-            )
-        return "accel-batch"
-    if accel is not None and batch_preferred(ordered, plan):
-        return "accel-batch"
-    return "reference"
+    return "reference" if engine == "reference" else "accel-batch"
 
 
 def parallel_match(
@@ -276,11 +259,10 @@ def parallel_match(
     totals rather than each run's private map.
 
     With ``engine="auto"`` the workers drive the frontier-batched engine
-    over chunks of the level-0 frontier whenever the run qualifies
-    (numpy importable, graph above the batched crossover): each chunk's
-    numpy kernels run with the GIL released, so worker threads overlap on
-    the hot loop instead of serializing, and a user ``control`` is polled
-    between frontier blocks and per emitted match.  Reference-engine runs
+    over chunks of the level-0 frontier: each chunk's numpy kernels run
+    with the GIL released, so worker threads overlap on the hot loop
+    instead of serializing, and a user ``control`` is polled between
+    frontier blocks and per emitted match.  Reference-engine runs
     keep per-thread :class:`EngineStats`; vectorized runs report zero
     stats (see :class:`ParallelResult`).
 
@@ -306,9 +288,9 @@ def parallel_match(
     plan_mode = _resolve_plan_mode(session, plan)
     num_threads = _resolve_pool_size(num_threads, plan_mode, DEFAULT_NUM_THREADS)
     if plan_mode == "auto":
-        # One probe plans the thread run: engine by measured expansion,
-        # schedule/chunk by skew, thread count by work volume.  Knobs
-        # the caller pinned explicitly stay pinned.
+        # One probe plans the thread run: schedule/chunk by skew,
+        # thread count by work volume.  Knobs the caller pinned
+        # explicitly stay pinned.
         from . import planner as _planner
 
         query_plan = _planner.plan_query(
@@ -317,7 +299,6 @@ def parallel_match(
             session.options(
                 edge_induced=edge_induced,
                 symmetry_breaking=symmetry_breaking,
-                engine=engine,
             ),
             num_workers=num_threads,
         )
@@ -326,26 +307,18 @@ def parallel_match(
             schedule = query_plan.schedule
         if chunk_hint is None:
             chunk_hint = query_plan.chunk_hint
-        if engine == "auto":
-            engine = (
-                "accel-batch"
-                if query_plan.engine == "accel-batch"
-                else "reference"
-            )
+    mode = _thread_engine_mode(engine)
     schedule, chunk_hint = _resolve_scheduling(session, schedule, chunk_hint)
     plan = session.plan_for(
         pattern, edge_induced=edge_induced, symmetry_breaking=symmetry_breaking
     )
     ordered = session.ordered
     old_of_new = session.translation
-    accel = _accel()
-    mode = _thread_engine_mode(engine, accel, ordered, plan)
     view = session.view if mode == "accel-batch" else None
     frontier, weights = _count_frontier(
         session,
         plan,
-        "batch" if mode == "accel-batch" else "reference",
-        accel,
+        batched=mode == "accel-batch",
         need_weights=schedule == "dynamic",
     )
     if schedule == "dynamic":
@@ -468,9 +441,9 @@ def parallel_match(
 #   and map the file, so all processes share one set of physical pages
 #   through the OS page cache — zero copies, zero shm segments, works
 #   under any start method.  shm stays as the ablation and the fallback
-#   for graphs that only exist in memory;
-# * ``share_mode="pickle"`` is the legacy per-worker adjacency pickling
-#   (kept as the numpy-free fallback; it drives the reference engine).
+#   for graphs that only exist in memory.
+#
+# Every worker drives the frontier-batched engine over the shared view.
 #
 # Work placement is orthogonal: ``schedule="dynamic"`` (default) has
 # workers pull degree-weighted frontier chunks from a shared
@@ -479,15 +452,6 @@ def parallel_match(
 # ----------------------------------------------------------------------
 
 _WORKER_STATE: dict = {}
-
-
-def _accel():
-    """The accel module, or ``None`` when numpy is unavailable."""
-    try:
-        from ..core import accel
-    except ImportError:  # pragma: no cover - exercised only without numpy
-        return None
-    return accel
 
 
 def _pattern_from_signature(signature) -> Pattern:
@@ -500,36 +464,7 @@ def _pattern_from_signature(signature) -> Pattern:
     )
 
 
-def _init_worker(
-    adjacency,
-    labels,
-    signature,
-    edge_induced,
-    symmetry_breaking,
-    ledger=None,
-    cursor=None,
-):
-    """Legacy pickling initializer (numpy-free fallback)."""
-    _WORKER_STATE["graph"] = DataGraph(adjacency, labels, validate=False)
-    _WORKER_STATE["plan"] = generate_plan(
-        _pattern_from_signature(signature),
-        edge_induced=edge_induced,
-        symmetry_breaking=symmetry_breaking,
-    )
-    _WORKER_STATE["mode"] = "reference"
-    _WORKER_STATE["ledger"] = ledger
-    _WORKER_STATE["cursor"] = cursor
-
-
-def _count_slice(args: tuple[int, int]) -> int:
-    offset, stride = args
-    graph = _WORKER_STATE["graph"]
-    plan = _WORKER_STATE["plan"]
-    starts = range(graph.num_vertices - 1 - offset, -1, -stride)
-    return run_tasks(graph, plan, start_vertices=starts, count_only=True)
-
-
-def _fork_init(view, graph, plan, mode="batch", ledger=None, cursor=None):
+def _fork_init(view, plan, ledger=None):
     """Fork-pool initializer: state arrives fork-inherited, not pickled.
 
     Under the fork start method ``initargs`` are plain references the
@@ -539,21 +474,8 @@ def _fork_init(view, graph, plan, mode="batch", ledger=None, cursor=None):
     through a shared module global.
     """
     _WORKER_STATE["view"] = view
-    _WORKER_STATE["graph"] = graph
     _WORKER_STATE["plan"] = plan
-    _WORKER_STATE["mode"] = mode
     _WORKER_STATE["ledger"] = ledger
-    _WORKER_STATE["cursor"] = cursor
-
-
-def _accel_count_slice(args: tuple[int, int]) -> int:
-    """Strided accelerated count over the shared CSR view."""
-    offset, stride = args
-    view = _WORKER_STATE["view"]
-    plan = _WORKER_STATE["plan"]
-    engine = _accel().AcceleratedEngine(view)
-    starts = range(view.num_vertices - 1 - offset, -1, -stride)
-    return engine.run(plan, start_vertices=starts, count_only=True)
 
 
 def _batch_count_slice(args: tuple[int, int]) -> int:
@@ -568,35 +490,9 @@ def _batch_count_slice(args: tuple[int, int]) -> int:
     offset, stride = args
     view = _WORKER_STATE["view"]
     plan = _WORKER_STATE["plan"]
-    accel = _accel()
     frontier = accel.frontier_start_order(view.labels, view.num_vertices, plan)
     return accel.FrontierBatchedEngine(view).run(
         plan, start_vertices=frontier[offset::stride], count_only=True
-    )
-
-
-def _chunk_runner(control=None):
-    """One engine instance + chunk-count closure for this worker's mode.
-
-    ``control`` (when given) reaches the engine of every chunk run, so a
-    shared cancellation token stops workers *inside* a chunk — between
-    frontier blocks or start tasks — not just between chunks.
-    """
-    mode = _WORKER_STATE["mode"]
-    plan = _WORKER_STATE["plan"]
-    if mode == "batch":
-        engine = _accel().FrontierBatchedEngine(_WORKER_STATE["view"])
-        return lambda chunk: engine.run(
-            plan, start_vertices=chunk, count_only=True, control=control
-        )
-    if mode == "accel":
-        engine = _accel().AcceleratedEngine(_WORKER_STATE["view"])
-        return lambda chunk: engine.run(
-            plan, start_vertices=chunk, count_only=True, control=control
-        )
-    graph = _WORKER_STATE["graph"]
-    return lambda chunk: run_tasks(
-        graph, plan, start_vertices=chunk, count_only=True, control=control
     )
 
 
@@ -688,7 +584,11 @@ def _tolerant_worker(
     """
     init(*init_args)
     ledger: ChunkLedger = _WORKER_STATE["ledger"]
-    run_chunk = _chunk_runner(control=_SharedCancel(cancel_flag))
+    plan = _WORKER_STATE["plan"]
+    engine = accel.FrontierBatchedEngine(_WORKER_STATE["view"])
+    # The shared flag reaches the engine of every chunk run, so a cancel
+    # stops workers *inside* a chunk, between frontier blocks.
+    control = _SharedCancel(cancel_flag)
     while True:
         if cancel_flag.value:
             return
@@ -698,7 +598,12 @@ def _tolerant_worker(
         index = active[pos]
         board.lease(index, worker_id)
         _fault(worker_id, index, fault_spec)
-        count = run_chunk(ledger.chunk(index))
+        count = engine.run(
+            plan,
+            start_vertices=ledger.chunk(index),
+            count_only=True,
+            control=control,
+        )
         if cancel_flag.value:
             return
         board.complete(index, (count,))
@@ -709,7 +614,6 @@ def _tolerant_worker_many(
 ):
     """Multi-pattern tolerant worker: each chunk runs its whole fused group."""
     init(*init_args)
-    accel = _accel()
     view = _WORKER_STATE["view"]
     plans = _WORKER_STATE["many_plans"]
     groups = _WORKER_STATE["many_groups"]
@@ -986,16 +890,8 @@ def _tolerant_count_many(
     return totals_of(range(num_chunks))
 
 
-def _shm_init(
-    segment_meta,
-    signature,
-    edge_induced,
-    symmetry_breaking,
-    vectorized,
-    mode="batch",
-    ledger=None,
-    cursor=None,
-):
+def _shm_init(segment_meta, signature, edge_induced, symmetry_breaking,
+              ledger=None):
     """Re-wrap shared-memory CSR segments as a view (no graph pickling)."""
     import numpy as np
     from multiprocessing import shared_memory
@@ -1012,29 +908,16 @@ def _shm_init(
         seg = shared_memory.SharedMemory(name=name)
         segments.append(seg)
         arrays[key] = np.ndarray((length,), dtype=np.int64, buffer=seg.buf)
-    view = _accel().AcceleratedGraphView.from_csr(
+    _WORKER_STATE["view"] = accel.AcceleratedGraphView.from_csr(
         arrays["flat"], arrays["offsets"], arrays["labels"]
     )
-    _WORKER_STATE["view"] = view
     _WORKER_STATE["segments"] = segments  # keep buffers alive
     _WORKER_STATE["plan"] = generate_plan(
         _pattern_from_signature(signature),
         edge_induced=edge_induced,
         symmetry_breaking=symmetry_breaking,
     )
-    _WORKER_STATE["mode"] = mode
     _WORKER_STATE["ledger"] = ledger
-    _WORKER_STATE["cursor"] = cursor
-    if not vectorized:
-        # Reference engine in this worker: materialize adjacency lists
-        # from the shared CSR buffers (still no pickling).
-        flat, offsets = arrays["flat"], arrays["offsets"]
-        adjacency = [
-            flat[offsets[v]: offsets[v + 1]].tolist()
-            for v in range(view.num_vertices)
-        ]
-        labels = None if arrays["labels"] is None else arrays["labels"].tolist()
-        _WORKER_STATE["graph"] = DataGraph(adjacency, labels, validate=False)
 
 
 def _shm_segments(view):
@@ -1082,51 +965,39 @@ def _mmap_store(session):
     return path, True
 
 
-def _mmap_init(
-    path,
-    signature,
-    edge_induced,
-    symmetry_breaking,
-    mode="batch",
-    ledger=None,
-    cursor=None,
-):
+def _mmap_init(path, signature, edge_induced, symmetry_breaking,
+               ledger=None):
     """Re-open the on-disk ``.rgx`` store in this worker.
 
     Nothing is copied or pickled: the worker maps the same file the
     parent resolved, so every process shares one set of physical pages
-    through the OS page cache.  The view and the (array-backed) graph
-    both alias the mapped sections, so this works for every engine mode.
+    through the OS page cache; the view aliases the mapped sections.
     """
     from ..graph.binary_io import GraphStore
 
     store = GraphStore(path)
-    graph = store.graph()
     _WORKER_STATE["store"] = store  # keep the mappings alive
-    _WORKER_STATE["graph"] = graph
-    _WORKER_STATE["view"] = _accel().shared_view(graph)
+    _WORKER_STATE["view"] = accel.shared_view(store.graph())
     _WORKER_STATE["plan"] = generate_plan(
         _pattern_from_signature(signature),
         edge_induced=edge_induced,
         symmetry_breaking=symmetry_breaking,
     )
-    _WORKER_STATE["mode"] = mode
     _WORKER_STATE["ledger"] = ledger
-    _WORKER_STATE["cursor"] = cursor
 
 
-def _count_frontier(session, plan, mode, accel, need_weights=True):
-    """The level-0 frontier (and per-start weights) for one engine mode.
+def _count_frontier(session, plan, batched=True, need_weights=True):
+    """The level-0 frontier (and per-start weights) for one engine.
 
-    Vectorized modes slice the hub-first, label-filtered frontier of the
-    shared CSR view; the reference engine does its own per-start label
-    checks, so its frontier is the plain hub-first id order.  Weights are
-    ``degree + 1`` — the same rule the fused runner uses to bound slice
-    work — so chunk extents track expected per-start cost.  Static
-    schedules never read the weights, so callers skip the (reference
-    mode: O(n) Python) derivation with ``need_weights=False``.
+    The batched engine slices the hub-first, label-filtered frontier of
+    the shared CSR view; the reference engine does its own per-start
+    label checks, so its frontier is the plain hub-first id order.
+    Weights are ``degree + 1`` — the same rule the fused runner uses to
+    bound slice work — so chunk extents track expected per-start cost.
+    Static schedules never read the weights, so callers skip the
+    (reference: O(n) Python) derivation with ``need_weights=False``.
     """
-    if mode in ("batch", "accel"):
+    if batched:
         view = session.view
         frontier = accel.frontier_start_order(
             view.labels, view.num_vertices, plan
@@ -1203,7 +1074,6 @@ def process_count(
         session, [pattern], guard, num_processes, None, edge_induced,
         symmetry_breaking,
     )
-    query_plan = None
     if plan_mode == "auto":
         # Probe → (admit above) → plan, sharing the session-cached
         # estimate with the guard.  The plan caps the pool at the work
@@ -1229,60 +1099,24 @@ def process_count(
     schedule, chunk_hint = _resolve_scheduling(session, schedule, chunk_hint)
     if cancel is not None and schedule != "dynamic":
         raise ValueError("cancel requires schedule='dynamic'")
-    ordered = session.ordered
-    accel = _accel()
     has_fork = "fork" in multiprocessing.get_all_start_methods()
     if share_mode is None:
-        if accel is None:
-            share_mode = "pickle"
-        elif has_fork:
-            share_mode = "fork"
-        else:  # pragma: no cover - non-posix platforms
-            share_mode = "shm"
-    if share_mode not in ("fork", "shm", "mmap", "pickle"):
-        raise ValueError(f"unknown share_mode {share_mode!r}")
-    if share_mode in ("fork", "shm", "mmap") and accel is None:
-        raise RuntimeError(f"share_mode={share_mode!r} requires numpy")
+        share_mode = "fork" if has_fork else "shm"
+    if share_mode not in _SHARE_MODES:
+        raise ValueError(
+            f"share_mode must be one of {_SHARE_MODES}, got {share_mode!r}"
+        )
 
     plan = session.plan_for(
         pattern, edge_induced=edge_induced, symmetry_breaking=symmetry_breaking
     )
-    # Per-worker engine choice mirrors the session auto-dispatch tiers:
-    # frontier-batched in its (wide) winning regime, per-match vectorized
-    # in the dense multi-core regime, reference interpreter otherwise.
-    # The pickle share mode has no CSR view to hand workers, so it always
-    # drives the reference engine.
-    use_batch = (
-        accel is not None
-        and share_mode != "pickle"
-        and batch_preferred(ordered, plan)
-    )
-    use_accel = (
-        not use_batch
-        and accel is not None
-        and share_mode != "pickle"
-        and accel_preferred(ordered, plan)
-    )
-    if query_plan is not None and accel is not None and share_mode != "pickle":
-        # The planned engine replaces the fixed global-degree crossover;
-        # the pickle share mode still has no CSR view to hand workers.
-        use_batch = query_plan.engine == "accel-batch"
-        use_accel = query_plan.engine == "accel"
     if num_processes <= 1:
-        if use_batch:
-            return accel.FrontierBatchedEngine(session.view).run(
-                plan, count_only=True
-            )
-        if use_accel:
-            return accel.AcceleratedEngine(session.view).run(
-                plan, count_only=True
-            )
-        return run_tasks(ordered, plan, count_only=True)
-
-    mode = "batch" if use_batch else ("accel" if use_accel else "reference")
+        return accel.FrontierBatchedEngine(session.view).run(
+            plan, count_only=True
+        )
 
     if schedule == "dynamic":
-        frontier, weights = _count_frontier(session, plan, mode, accel)
+        frontier, weights = _count_frontier(session, plan)
         ledger = ChunkLedger.build(
             frontier,
             weights=weights,
@@ -1292,56 +1126,31 @@ def process_count(
     else:
         ledger = None
         slices = [(i, num_processes) for i in range(num_processes)]
-        if use_batch:
-            slice_fn = _batch_count_slice
-        elif use_accel:
-            slice_fn = _accel_count_slice
-        else:
-            slice_fn = _count_slice
 
-    if share_mode == "fork":
-        ctx = multiprocessing.get_context("fork")
-        # The CSR view is only worth building (and caching on the graph)
-        # when the workers will actually run a vectorized engine.
-        view = session.view if (use_batch or use_accel) else None
+    def drain(ctx, init, init_args):
         if schedule == "dynamic":
             return _tolerant_count(
-                ctx, num_processes, _fork_init,
-                (view, ordered, plan, mode, ledger, None), ledger, cancel,
+                ctx, num_processes, init, init_args, ledger, cancel
             )
         with ctx.Pool(
-            processes=num_processes,
-            initializer=_fork_init,
-            initargs=(view, ordered, plan, mode, None, None),
+            processes=num_processes, initializer=init, initargs=init_args
         ) as pool:
-            counts = pool.map(slice_fn, slices)
-        return sum(counts)
+            return sum(pool.map(_batch_count_slice, slices))
+
+    if share_mode == "fork":
+        return drain(
+            multiprocessing.get_context("fork"),
+            _fork_init,
+            (session.view, plan, ledger),
+        )
 
     ctx = multiprocessing.get_context("fork" if has_fork else "spawn")
+    signature_args = (pattern.signature(), edge_induced, symmetry_breaking)
 
     if share_mode == "mmap":
         path, is_temp = _mmap_store(session)
         try:
-            init_args = (
-                path,
-                pattern.signature(),
-                edge_induced,
-                symmetry_breaking,
-                mode,
-                ledger,
-                None,
-            )
-            if schedule == "dynamic":
-                return _tolerant_count(
-                    ctx, num_processes, _mmap_init, init_args, ledger, cancel,
-                )
-            with ctx.Pool(
-                processes=num_processes,
-                initializer=_mmap_init,
-                initargs=init_args,
-            ) as pool:
-                counts = pool.map(slice_fn, slices)
-            return sum(counts)
+            return drain(ctx, _mmap_init, (path, *signature_args, ledger))
         finally:
             # The spill file is parent-owned: unlink it no matter how the
             # pool exits — including crash/cancel errors propagating out
@@ -1354,65 +1163,16 @@ def process_count(
                 except OSError:  # pragma: no cover - already gone
                     pass
 
-    if share_mode == "shm":
-        view = session.view
-        segments, meta = _shm_segments(view)
-        try:
-            init_args = (
-                meta,
-                pattern.signature(),
-                edge_induced,
-                symmetry_breaking,
-                use_batch or use_accel,
-                mode,
-                ledger,
-                None,
-            )
-            if schedule == "dynamic":
-                return _tolerant_count(
-                    ctx, num_processes, _shm_init, init_args, ledger, cancel,
-                )
-            with ctx.Pool(
-                processes=num_processes, initializer=_shm_init, initargs=init_args
-            ) as pool:
-                counts = pool.map(slice_fn, slices)
-            return sum(counts)
-        finally:
-            # Worker failures surface as errors raised above; the
-            # segments are parent-owned, so unlink here no matter what —
-            # a leaked segment outlives the run (and, on tmpfs, holds its
-            # bytes).
-            for seg in segments:
-                seg.close()
-                seg.unlink()
-
-    if ordered.backing == "array":
-        # Pickling memmap slices would serialize (and copy) numpy arrays
-        # per vertex; plain lists keep the fallback numpy-agnostic.
-        adjacency = [ordered.neighbors(v).tolist() for v in ordered.vertices()]
-        labels = ordered.labels()
-        labels = labels.tolist() if labels is not None else None
-    else:
-        adjacency = [ordered.neighbors(v) for v in ordered.vertices()]
-        labels = ordered.labels()
-    init_args = (
-        adjacency,
-        labels,
-        pattern.signature(),
-        edge_induced,
-        symmetry_breaking,
-        ledger,
-        None,
-    )
-    if schedule == "dynamic":
-        return _tolerant_count(
-            ctx, num_processes, _init_worker, init_args, ledger, cancel,
-        )
-    with ctx.Pool(
-        processes=num_processes, initializer=_init_worker, initargs=init_args
-    ) as pool:
-        counts = pool.map(_count_slice, slices)
-    return sum(counts)
+    segments, meta = _shm_segments(session.view)
+    try:
+        return drain(ctx, _shm_init, (meta, *signature_args, ledger))
+    finally:
+        # Worker failures surface as errors raised above; the segments
+        # are parent-owned, so unlink here no matter what — a leaked
+        # segment outlives the run (and, on tmpfs, holds its bytes).
+        for seg in segments:
+            seg.close()
+            seg.unlink()
 
 
 # ----------------------------------------------------------------------
@@ -1467,7 +1227,7 @@ def _many_shm_init(
     frontier_chunk,
 ):
     """Shared-memory initializer: rebuild the view, regenerate the plans."""
-    _shm_init(segment_meta, signatures[0], flags[0], flags[1], True)
+    _shm_init(segment_meta, signatures[0], flags[0], flags[1])
     _bind_many_state(
         signatures, flags, groups, ledgers, offsets, cursor, workers,
         frontier_chunk,
@@ -1504,7 +1264,6 @@ def _drain_many(worker_id: int) -> list[int]:
     (``cursor is None``) the worker instead takes its stride slice of
     every group's frontier up front.
     """
-    accel = _accel()
     view = _WORKER_STATE["view"]
     plans = _WORKER_STATE["many_plans"]
     groups = _WORKER_STATE["many_groups"]
@@ -1578,8 +1337,8 @@ def process_count_many(
     rewrite is a sequential-only optimization; the process path counts
     every requested plan directly).  ``frontier_chunk`` bounds each
     worker engine's per-dispatch frontier exactly as in sequential runs.
-    Requires numpy; without it (or with ``num_processes <= 1``) the
-    call falls back to the sequential session path.  ``share_mode``
+    With ``num_processes <= 1`` the call falls back to the sequential
+    session path.  ``share_mode``
     supports ``"fork"``, ``"shm"`` and ``"mmap"`` (workers re-open the
     on-disk ``.rgx`` store and share pages through the OS page cache).
 
@@ -1601,7 +1360,6 @@ def process_count_many(
         session, patterns, guard, num_processes, frontier_chunk,
         edge_induced, symmetry_breaking,
     )
-    workload_plan = None
     if plan_mode == "auto" and patterns:
         # One probe per distinct member (shared with the guard above)
         # plans the whole drain: pool size from summed level-1 volume,
@@ -1627,11 +1385,7 @@ def process_count_many(
     schedule, chunk_hint = _resolve_scheduling(session, schedule, chunk_hint)
     if cancel is not None and schedule != "dynamic":
         raise ValueError("cancel requires schedule='dynamic'")
-    accel = _accel()
-    not_worth_forking = (
-        workload_plan is not None and workload_plan.engine == "reference"
-    )
-    if accel is None or num_processes <= 1 or not patterns or not_worth_forking:
+    if num_processes <= 1 or not patterns:
         return session.count_many(
             patterns,
             edge_induced=edge_induced,
@@ -1643,10 +1397,9 @@ def process_count_many(
     has_fork = "fork" in multiprocessing.get_all_start_methods()
     if share_mode is None:
         share_mode = "fork" if has_fork else "shm"
-    if share_mode not in ("fork", "shm", "mmap"):
+    if share_mode not in _SHARE_MODES:
         raise ValueError(
-            f"process_count_many supports share_mode 'fork', 'shm' or "
-            f"'mmap', got {share_mode!r}"
+            f"share_mode must be one of {_SHARE_MODES}, got {share_mode!r}"
         )
 
     ordered = session.ordered

@@ -1,35 +1,30 @@
 """Cost-model-driven query planning: one probe chooses the whole run.
 
-This is the second half of the virt-graph ``estimator``/``guards`` idiom
-(ROADMAP item 2).  PR 7 built the bounded probe walk
-(:func:`repro.runtime.guards.estimate_cost`) for *admission* — refuse or
-downgrade predicted-explosive queries.  This module spends the same
-probe on *planning*: the measurements the probe already takes (predicted
-level-1 volume, second-level growth trend, hub skew, frontier size) are
-exactly the signals the fixed dispatch thresholds
-(:data:`~repro.core.session.ACCEL_BATCH_MIN_AVG_DEGREE`,
-:data:`~repro.core.session.ACCEL_MIN_AVG_DEGREE`,
-:data:`~repro.runtime.scheduler.CHUNKS_PER_WORKER`) approximate with
-*graph-global* statistics — so a per-query :class:`QueryPlan` can beat
-them precisely where the pattern and the graph disagree:
+This is the second half of the virt-graph ``estimator``/``guards`` idiom.
+The bounded probe walk (:func:`repro.runtime.guards.estimate_cost`) was
+built for *admission* — refuse or downgrade predicted-explosive queries.
+This module spends the same probe on *planning*: the measurements the
+probe already takes (predicted level-1 volume, second-level growth
+trend, hub skew, frontier size) replace the static defaults
+(:data:`~repro.runtime.scheduler.CHUNKS_PER_WORKER`, the caller's worker
+count, exact execution) where the query tells a different story:
 
-* a labeled pattern whose frontier sits on a dense core of an otherwise
-  near-forest graph (global average degree says "interpreter", the
-  measured per-start expansion says "batched engine");
-* a labeled pattern whose frontier is a sparse sliver of a dense graph
-  (global degree says "numpy", the measured level-1 volume says the
-  interpreter finishes before numpy dispatch warms up);
 * a uniform frontier that does not need work-stealing (static slices
   skip the shared-cursor protocol) vs. a hub-skewed one that does;
 * a worker budget larger than the work (the plan caps the pool instead
-  of paying fork start-up for idle processes).
+  of paying fork start-up for idle processes);
+* a predicted partial volume that warrants a tighter frontier chunk;
+* a latency budget the exact run cannot meet (route to the
+  approximate tier).
 
-``ExecOptions.plan="auto"`` turns the planner on; the default
-``"fixed"`` keeps the historical thresholds as the ablation baseline.
-The probe is cached per ``(pattern signature, matching flags)`` on the
-session, and admission (:func:`~repro.runtime.guards.admit`) and
-planning share one cached estimate — a guarded planned query probes
-exactly once.
+The engine is not a planning decision: every hook-free run executes on
+the frontier-batched engine (fused for multi-pattern workloads), and
+:attr:`QueryPlan.engine` reports that engine.  ``ExecOptions.plan="auto"``
+turns the planner on; the default ``"fixed"`` keeps the static defaults
+as the ablation baseline.  The probe is cached per ``(pattern
+signature, matching flags)`` on the session, and admission
+(:func:`~repro.runtime.guards.admit`) and planning share one cached
+estimate — a guarded planned query probes exactly once.
 """
 
 from __future__ import annotations
@@ -46,10 +41,7 @@ __all__ = [
     "plan_workload",
     "apply_plan",
     "explain",
-    "batch_worthwhile",
     "PLANNER_CHOICES",
-    "MIN_BATCH_EXPANSION",
-    "TINY_LEVEL1_VOLUME",
     "SKEW_DYNAMIC_THRESHOLD",
     "TIGHTEN_PARTIALS",
     "PLANNED_FRONTIER_CHUNK",
@@ -60,19 +52,6 @@ __all__ = [
 ]
 
 PLANNER_CHOICES = ("fixed", "auto")
-
-# The batched engine's crossover in probe units.  The probe measures
-# level-1 candidates per start (neighbors *below* the start under
-# symmetry breaking — about half the degree), so the measured analogue
-# of ACCEL_BATCH_MIN_AVG_DEGREE (average degree 2.0) is one candidate
-# per start.  Unlike the global threshold, this is evaluated on the
-# pattern's own (label-filtered) frontier.
-MIN_BATCH_EXPANSION = 1.0
-
-# Below this much total level-1 work, interpreter bisect/slice loops
-# finish before numpy per-dispatch overhead amortizes — keep such
-# queries on the reference engine regardless of density.
-TINY_LEVEL1_VOLUME = 64.0
 
 # Work-stealing pays when stragglers exist.  A frontier with hub starts
 # (probe hub prefix non-empty) or with max/avg expansion skew at or
@@ -111,11 +90,13 @@ AUTO_APPROX_REL_ERR = 0.05
 class QueryPlan:
     """One query's frozen execution choices, derived from one probe.
 
-    ``engine`` is a concrete engine (``"reference"``/``"accel"``/
-    ``"accel-batch"``, or ``"fused"`` for multi-pattern workloads) —
-    never ``"auto"``.  ``num_workers`` never exceeds the caller's worker
-    budget (the planner caps, it does not conscript).  ``reasons``
-    records one line per choice for ``explain`` and the service echo.
+    ``engine`` is the concrete engine the run executes on
+    (``"accel-batch"``, ``"fused"`` for multi-pattern workloads, or
+    ``"reference"`` when the caller pinned it or a ``stats``/``timer``
+    hook requires it) — never ``"auto"``.  ``num_workers`` never
+    exceeds the caller's worker budget (the planner caps, it does not
+    conscript).  ``reasons`` records one line per choice for ``explain``
+    and the service echo.
     """
 
     engine: str
@@ -161,58 +142,15 @@ class QueryPlan:
         return line
 
 
-def _accel_module():
-    """The accel module, or ``None`` when numpy is unavailable."""
-    try:
-        from ..core import accel
-    except ImportError:  # pragma: no cover - exercised only without numpy
-        return None
-    return accel
-
-
-def _batch_worthy(estimate: guards.CostEstimate) -> bool:
-    """Whether the frontier-batched engine wins on *this* frontier."""
-    return (
-        estimate.avg_expansion >= MIN_BATCH_EXPANSION
-        and estimate.level1_volume >= TINY_LEVEL1_VOLUME
-    )
-
-
-def batch_worthwhile(estimates) -> bool:
-    """Workload-level batch decision: any member's frontier qualifies.
-
-    The fused runner walks one shared frontier per group; if any
-    member's measured expansion clears the batched crossover, the
-    shared gathers amortize for the whole group.
-    """
-    return any(_batch_worthy(est) for est in estimates)
-
-
-def _choose_engine(estimate, opts, hooks_free: bool, reasons: list) -> str:
+def _choose_engine(opts, default: str, reasons: list) -> str:
+    """The engine that will run: pinned, hook-forced, or the default."""
     if opts.engine != "auto":
         reasons.append(f"engine {opts.engine!r} pinned by caller")
         return opts.engine
-    if not hooks_free:
-        reasons.append("reference: stats/timer hooks or numpy unavailable")
+    if opts.stats is not None or opts.timer is not None:
+        reasons.append("reference: stats/timer hooks pin the interpreter")
         return "reference"
-    if estimate.level1_volume < TINY_LEVEL1_VOLUME:
-        reasons.append(
-            "reference: tiny level-1 volume "
-            f"({estimate.level1_volume:.0f} rows < {TINY_LEVEL1_VOLUME:.0f})"
-        )
-        return "reference"
-    if estimate.avg_expansion >= MIN_BATCH_EXPANSION:
-        reasons.append(
-            "accel-batch: measured level-1 expansion "
-            f"{estimate.avg_expansion:.2f} >= {MIN_BATCH_EXPANSION:.2f} "
-            f"over {estimate.frontier_size} starts"
-        )
-        return "accel-batch"
-    reasons.append(
-        "reference: measured level-1 expansion "
-        f"{estimate.avg_expansion:.2f} below the batched crossover"
-    )
-    return "reference"
+    return default
 
 
 def _choose_workers(estimate, requested: int, reasons: list) -> int:
@@ -333,12 +271,8 @@ def plan_query(
         raise TypeError("pass opts= or keyword options, not both")
     if estimate is None:
         estimate = session._guard_estimate(pattern, opts)
-    accel = _accel_module()
-    hooks_free = (
-        accel is not None and opts.stats is None and opts.timer is None
-    )
     reasons: list[str] = []
-    engine = _choose_engine(estimate, opts, hooks_free, reasons)
+    engine = _choose_engine(opts, "accel-batch", reasons)
     workers = _choose_workers(estimate, num_workers, reasons)
     schedule, chunk_hint = _choose_schedule(estimate, workers, reasons)
     frontier_chunk = _choose_frontier_chunk(estimate, opts, reasons)
@@ -370,12 +304,10 @@ def plan_workload(
     """Plan a multi-pattern workload from its members' probes.
 
     The fused runner walks one shared frontier per compatible group, so
-    the workload-level choices aggregate: the engine is ``"fused"`` when
-    any member's frontier clears the batched crossover (shared gathers
-    amortize for the whole group), the schedule is dynamic when any
-    member sees hub skew, the worker budget is fed by the *summed*
+    the workload-level choices aggregate: the schedule is dynamic when
+    any member sees hub skew, the worker budget is fed by the *summed*
     level-1 volume, and the frontier chunk is the tightest any member
-    needs.
+    needs.  The engine is ``"fused"`` unless the caller pinned one.
     """
     from ..core.session import as_session
 
@@ -400,27 +332,8 @@ def plan_workload(
             num_workers=max(1, num_workers),
             reasons=("empty workload",),
         )
-    accel = _accel_module()
-    hooks_free = (
-        accel is not None and opts.stats is None and opts.timer is None
-    )
     reasons: list[str] = []
-    if opts.engine != "auto":
-        engine = opts.engine
-        reasons.append(f"engine {opts.engine!r} pinned by caller")
-    elif hooks_free and batch_worthwhile(estimates):
-        engine = "fused"
-        reasons.append(
-            "fused: at least one member frontier clears the batched "
-            "crossover, shared gathers amortize for the group"
-        )
-    else:
-        engine = "reference"
-        reasons.append(
-            "reference: no member frontier justifies the batched engine"
-            if hooks_free
-            else "reference: stats/timer hooks or numpy unavailable"
-        )
+    engine = _choose_engine(opts, "fused", reasons)
     combined = dataclasses.replace(
         max(estimates, key=lambda e: e.level1_volume),
         level1_volume=sum(e.level1_volume for e in estimates),
@@ -456,8 +369,8 @@ def plan_workload(
 def apply_plan(plan: QueryPlan, opts, allow_approx: bool = True):
     """Fold a plan's choices back into execution options.
 
-    ``engine`` is always concrete after planning (``_choose_engine``
-    echoes a caller-pinned engine through), and ``schedule``/
+    ``engine`` is always concrete after planning (a caller-pinned
+    engine is echoed through), and ``schedule``/
     ``frontier_chunk``/``chunk_hint`` carry the planned values — for
     knobs the caller pinned explicitly, the planner already kept them.
     A latency-budget routing decision (``plan.use_approx``) engages the

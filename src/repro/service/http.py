@@ -26,7 +26,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .service import MiningService, ServiceConfig
 
-__all__ = ["ServiceHTTPServer", "serve", "DEFAULT_HOST", "DEFAULT_PORT"]
+__all__ = [
+    "ServiceHTTPServer",
+    "serve",
+    "DEFAULT_HOST",
+    "DEFAULT_PORT",
+    "MAX_BODY_BYTES",
+]
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8765
@@ -34,6 +40,12 @@ DEFAULT_PORT = 8765
 # How long a handler thread waits for the loop to serve one request.
 # Mining calls are bounded by budgets/guards; this is the last resort.
 REQUEST_TIMEOUT_S = 600.0
+
+# Largest accepted POST body.  A request envelope is a verb, a graph
+# name and a pattern spec — kilobytes at most — so 1 MiB leaves room for
+# any legal request while keeping a hostile Content-Length from pinning
+# a handler thread on a read that never completes.
+MAX_BODY_BYTES = 1 << 20
 
 
 class _RequestHandler(BaseHTTPRequestHandler):
@@ -50,8 +62,49 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+
+    def _send_error(self, status: int, code: str, message: str) -> None:
+        self._send_json(
+            status,
+            {
+                "ok": False,
+                "error": {"code": code, "message": message, "status": status},
+            },
+        )
+
+    def _body_length(self) -> int | None:
+        """The declared body length, or ``None`` after answering an error.
+
+        Validated before any read: a negative length would read to EOF
+        and an oversized one would block the handler thread on bytes the
+        client never sends.  Unread body bytes would corrupt the next
+        request on a keep-alive connection, so errors close it.
+        """
+        raw = self.headers.get("Content-Length")
+        try:
+            length = int(raw) if raw is not None else 0
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            self._send_error(
+                400, "invalid_request",
+                f"Content-Length must be a non-negative integer, got {raw!r}",
+            )
+            return None
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            self._send_error(
+                413, "payload_too_large",
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+            )
+            return None
+        return length
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         if self.path == "/health":
@@ -61,46 +114,20 @@ class _RequestHandler(BaseHTTPRequestHandler):
             response = self.server.run_request({"verb": "stats"})
             self._send_json(200 if response.get("ok") else 500, response)
             return
-        self._send_json(
-            404,
-            {
-                "ok": False,
-                "error": {
-                    "code": "not_found",
-                    "message": f"no such endpoint: {self.path}",
-                    "status": 404,
-                },
-            },
-        )
+        self._send_error(404, "not_found", f"no such endpoint: {self.path}")
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         if self.path != "/query":
-            self._send_json(
-                404,
-                {
-                    "ok": False,
-                    "error": {
-                        "code": "not_found",
-                        "message": f"no such endpoint: {self.path}",
-                        "status": 404,
-                    },
-                },
-            )
+            self._send_error(404, "not_found", f"no such endpoint: {self.path}")
+            return
+        length = self._body_length()
+        if length is None:
             return
         try:
-            length = int(self.headers.get("Content-Length") or 0)
             payload = json.loads(self.rfile.read(length) or b"null")
         except (ValueError, json.JSONDecodeError) as exc:
-            self._send_json(
-                400,
-                {
-                    "ok": False,
-                    "error": {
-                        "code": "invalid_request",
-                        "message": f"request body is not valid JSON: {exc}",
-                        "status": 400,
-                    },
-                },
+            self._send_error(
+                400, "invalid_request", f"request body is not valid JSON: {exc}"
             )
             return
         response = self.server.run_request(payload)

@@ -1,10 +1,10 @@
-"""Tests for the numpy-accelerated kernels and the vectorized engine.
+"""Tests for the numpy-accelerated kernels and the frontier-batched engine.
 
 Every feature of the pattern matrix — labels, vertex-induced matching,
 anti-edges, anti-vertices, callbacks — is parity-fuzzed against the
 reference engine (``engine="reference"`` forces it; a bare ``count``
-would auto-dispatch right back to the accelerated engine) and, where
-cheap enough, against the networkx oracles.
+would dispatch right back to the batched engine) and, where cheap
+enough, against the networkx oracles.
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ from hypothesis import strategies as st
 from repro.core import count, generate_plan, match, match_batches
 from repro.core.callbacks import ExplorationControl
 from repro.core.accel import (
-    AcceleratedEngine,
     AcceleratedGraphView,
     FrontierBatchedEngine,
-    accelerated_count,
     frontier_count,
     frontier_start_order,
     np_bounded,
@@ -31,7 +29,13 @@ from repro.core.accel import (
 )
 from repro.core.engine import EngineStats
 from repro.errors import MatchingError
-from repro.graph import barabasi_albert, erdos_renyi, with_random_labels
+from repro.graph import (
+    DataGraph,
+    barabasi_albert,
+    erdos_renyi,
+    power_law,
+    with_random_labels,
+)
 from repro.mining.cliques import maximal_clique_pattern
 from repro.pattern import Pattern, generate_chain, generate_clique, generate_star
 from repro.testing.oracles import nx_count_edge_induced, nx_count_vertex_induced
@@ -143,7 +147,7 @@ class TestAcceleratedGraphView:
 
 
 # ----------------------------------------------------------------------
-# Accelerated counting == reference engine (unlabeled, edge-induced)
+# Batched counting helper == reference engine (unlabeled, edge-induced)
 # ----------------------------------------------------------------------
 
 
@@ -162,40 +166,49 @@ class TestAcceleratedCount:
     def test_agrees_with_reference(self, pattern_fn):
         g = barabasi_albert(300, 5, seed=9)
         p = pattern_fn()
-        assert accelerated_count(g, p) == reference_count(g, p)
+        assert frontier_count(g, p) == reference_count(g, p)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=10, deadline=None)
     def test_random_graph_triangles(self, seed):
         g = erdos_renyi(40, 0.25, seed=seed)
-        assert accelerated_count(g, generate_clique(3)) == reference_count(
+        assert frontier_count(g, generate_clique(3)) == reference_count(
             g, generate_clique(3)
         )
 
     def test_single_edge_pattern(self):
         g = erdos_renyi(30, 0.2, seed=2)
-        assert accelerated_count(g, Pattern.from_edges([(0, 1)])) == g.num_edges
+        assert frontier_count(g, Pattern.from_edges([(0, 1)])) == g.num_edges
 
     def test_reusable_view(self):
         g = barabasi_albert(200, 4, seed=3)
         ordered, _ = g.degree_ordered()
         view = AcceleratedGraphView(ordered)
         for p in (generate_clique(3), generate_chain(3)):
-            assert accelerated_count(g, p, view=view) == reference_count(g, p)
+            assert frontier_count(g, p, view=view) == reference_count(g, p)
 
     def test_foreign_view_is_rebuilt_not_trusted(self):
         g = erdos_renyi(40, 0.3, seed=2)
         other = erdos_renyi(25, 0.2, seed=99)
         foreign = AcceleratedGraphView(other.degree_ordered()[0])
         p = generate_clique(3)
-        assert accelerated_count(g, p, view=foreign) == reference_count(g, p)
+        assert frontier_count(g, p, view=foreign) == reference_count(g, p)
 
     def test_rejects_labeled_pattern_on_unlabeled_graph(self):
         g = erdos_renyi(20, 0.3, seed=1)
         p = Pattern.from_edges([(0, 1)])
         p.set_label(0, 1)
         with pytest.raises(MatchingError):
-            accelerated_count(g, p)
+            frontier_count(g, p)
+
+    @pytest.mark.parametrize("edge_induced", [True, False])
+    def test_empty_graphs_count_zero(self, edge_induced):
+        for g in (DataGraph([]), DataGraph([[] for _ in range(5)])):
+            for p in (generate_clique(3), generate_chain(3)):
+                got = frontier_count(g, p, edge_induced=edge_induced)
+                assert got == 0 == reference_count(
+                    g, p, edge_induced=edge_induced
+                )
 
 
 # ----------------------------------------------------------------------
@@ -208,14 +221,14 @@ class TestAntiConstraintParity:
         g = erdos_renyi(40, 0.25, seed=1)
         p = generate_chain(3)
         p.add_anti_edge(0, 2)
-        assert accelerated_count(g, p) == reference_count(g, p)
+        assert frontier_count(g, p) == reference_count(g, p)
 
     def test_square_with_anti_diagonals(self):
         g = erdos_renyi(35, 0.3, seed=13)
         p = Pattern.from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
         p.add_anti_edge(0, 2)
         p.add_anti_edge(1, 3)
-        assert accelerated_count(g, p) == reference_count(g, p)
+        assert frontier_count(g, p) == reference_count(g, p)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=10, deadline=None)
@@ -223,20 +236,20 @@ class TestAntiConstraintParity:
         g = erdos_renyi(30, 0.25, seed=seed)
         p = generate_chain(4)
         p.add_anti_edge(0, 3)
-        assert accelerated_count(g, p) == reference_count(g, p)
+        assert frontier_count(g, p) == reference_count(g, p)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=10, deadline=None)
     def test_fuzz_maximal_cliques(self, seed):
         g = erdos_renyi(30, 0.3, seed=seed)
         p = maximal_clique_pattern(3)
-        assert accelerated_count(g, p) == reference_count(g, p)
+        assert frontier_count(g, p) == reference_count(g, p)
 
     def test_anti_vertex_star(self):
         g = erdos_renyi(40, 0.2, seed=21)
         p = generate_star(3)
         p.add_anti_vertex([0, 1])
-        assert accelerated_count(g, p) == reference_count(g, p)
+        assert frontier_count(g, p) == reference_count(g, p)
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +271,7 @@ class TestVertexInducedParity:
     def test_agrees_with_reference_and_oracle(self, pattern_fn):
         g = erdos_renyi(30, 0.25, seed=17)
         p = pattern_fn()
-        got = accelerated_count(g, p, edge_induced=False)
+        got = frontier_count(g, p, edge_induced=False)
         assert got == reference_count(g, p, edge_induced=False)
         assert got == nx_count_vertex_induced(g, p)
 
@@ -267,7 +280,7 @@ class TestVertexInducedParity:
     def test_fuzz_vertex_induced_wedges(self, seed):
         g = erdos_renyi(30, 0.3, seed=seed)
         p = generate_star(3)
-        assert accelerated_count(g, p, edge_induced=False) == reference_count(
+        assert frontier_count(g, p, edge_induced=False) == reference_count(
             g, p, edge_induced=False
         )
 
@@ -297,7 +310,7 @@ class TestLabeledParity:
     def test_labeled_triangle(self, labels):
         g = with_random_labels(erdos_renyi(40, 0.25, seed=7), 3, seed=1)
         p = _labeled_pattern(generate_clique(3), labels)
-        assert accelerated_count(g, p) == reference_count(g, p)
+        assert frontier_count(g, p) == reference_count(g, p)
 
     @pytest.mark.parametrize(
         "labels",
@@ -306,25 +319,25 @@ class TestLabeledParity:
     def test_labeled_chain(self, labels):
         g = with_random_labels(erdos_renyi(40, 0.2, seed=11), 4, seed=2)
         p = _labeled_pattern(generate_chain(3), labels)
-        assert accelerated_count(g, p) == reference_count(g, p)
+        assert frontier_count(g, p) == reference_count(g, p)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=8, deadline=None)
     def test_fuzz_labeled_stars(self, seed):
         g = with_random_labels(erdos_renyi(35, 0.2, seed=seed), 3, seed=seed)
         p = _labeled_pattern(generate_star(3), {0: seed % 3, 2: (seed + 1) % 3})
-        assert accelerated_count(g, p) == reference_count(g, p)
+        assert frontier_count(g, p) == reference_count(g, p)
 
     def test_labeled_vertex_induced_combination(self):
         g = with_random_labels(erdos_renyi(30, 0.25, seed=19), 3, seed=4)
         p = _labeled_pattern(generate_star(3), {0: 1, 1: 0, 2: 2})
-        got = accelerated_count(g, p, edge_induced=False)
+        got = frontier_count(g, p, edge_induced=False)
         assert got == reference_count(g, p, edge_induced=False)
 
     def test_label_absent_from_graph(self):
         g = with_random_labels(erdos_renyi(20, 0.3, seed=3), 2, seed=5)
         p = _labeled_pattern(generate_clique(3), {0: 7})
-        assert accelerated_count(g, p) == 0 == reference_count(g, p)
+        assert frontier_count(g, p) == 0 == reference_count(g, p)
 
 
 # ----------------------------------------------------------------------
@@ -352,21 +365,21 @@ class TestCallbackParity:
     def test_same_matches_same_order(self, pattern_fn, kwargs):
         g = erdos_renyi(30, 0.25, seed=23)
         p = pattern_fn()
-        accel = _collect_matches(g, p, "accel", **kwargs)
+        accel = _collect_matches(g, p, "accel-batch", **kwargs)
         ref = _collect_matches(g, p, "reference", **kwargs)
         assert accel == ref
 
     def test_labeled_callback_matches(self):
         g = with_random_labels(erdos_renyi(30, 0.25, seed=29), 3, seed=6)
         p = _labeled_pattern(generate_chain(3), {0: 0, 2: 1})
-        assert _collect_matches(g, p, "accel") == _collect_matches(
+        assert _collect_matches(g, p, "accel-batch") == _collect_matches(
             g, p, "reference"
         )
 
     def test_callback_count_equals_count(self):
         g = erdos_renyi(40, 0.2, seed=31)
         p = generate_clique(3)
-        assert len(_collect_matches(g, p, "accel")) == count(g, p)
+        assert len(_collect_matches(g, p, "accel-batch")) == count(g, p)
 
 
 # ----------------------------------------------------------------------
@@ -581,6 +594,13 @@ class TestFrontierStartOrder:
 # ----------------------------------------------------------------------
 
 
+def _sparse_graph():
+    """A near-forest graph (average degree ~1.3)."""
+    g = power_law(2000, 3.5, d_min=1, seed=11)
+    assert g.avg_degree() < 2.0
+    return g
+
+
 class TestDispatch:
     def test_auto_with_stats_uses_reference(self):
         g = erdos_renyi(30, 0.25, seed=37)
@@ -589,49 +609,25 @@ class TestDispatch:
         assert n == count(g, generate_clique(3))
         assert stats.partial_matches > 0  # reference engine ran
 
-    def test_force_accel_with_stats_raises(self):
-        g = erdos_renyi(20, 0.3, seed=1)
-        with pytest.raises(MatchingError):
-            count(g, generate_clique(3), stats=EngineStats(), engine="accel")
-
     def test_unknown_engine_rejected(self):
         g = erdos_renyi(10, 0.3, seed=1)
         with pytest.raises(ValueError):
             count(g, generate_clique(3), engine="warp-drive")
+        # "accel" is not an engine name (there is no per-match tier).
+        with pytest.raises(ValueError):
+            count(g, generate_clique(3), engine="accel")
 
     def test_forced_engines_agree(self):
         g = with_random_labels(erdos_renyi(30, 0.25, seed=41), 3, seed=7)
         p = _labeled_pattern(generate_star(3), {0: 1})
-        assert count(g, p, engine="accel") == count(g, p, engine="reference")
+        expected = count(g, p, engine="reference")
+        for engine in ("auto", "accel-batch"):
+            assert count(g, p, engine=engine) == expected, engine
 
     def test_engine_runs_against_oracle(self):
         g = erdos_renyi(25, 0.3, seed=43)
         p = generate_chain(3)
-        assert count(g, p, engine="accel") == nx_count_edge_induced(g, p)
-
-    def test_accel_preferred_heuristic(self):
-        from repro.core import accel_preferred
-
-        dense, _ = erdos_renyi(300, 0.6, seed=51).degree_ordered()
-        sparse, _ = erdos_renyi(300, 0.05, seed=51).degree_ordered()
-        clique_plan = generate_plan(generate_clique(3))
-        chain_plan = generate_plan(generate_chain(3))
-        assert accel_preferred(dense, clique_plan)  # dense + real core
-        assert not accel_preferred(sparse, clique_plan)  # sparse graph
-        # single-vertex core (tail-count dominated) stays on the interpreter
-        assert not accel_preferred(dense, chain_plan)
-
-    def test_batch_preferred_heuristic(self):
-        from repro.core import batch_preferred
-
-        moderate, _ = erdos_renyi(300, 0.05, seed=51).degree_ordered()
-        forest, _ = erdos_renyi(300, 0.002, seed=51).degree_ordered()
-        clique_plan = generate_plan(generate_clique(3))
-        chain_plan = generate_plan(generate_chain(3))
-        # no density floor beyond near-forests, no core-size exclusion
-        assert batch_preferred(moderate, clique_plan)
-        assert batch_preferred(moderate, chain_plan)
-        assert not batch_preferred(forest, clique_plan)
+        assert count(g, p) == nx_count_edge_induced(g, p)
 
     def test_force_accel_batch_with_stats_raises(self):
         g = erdos_renyi(20, 0.3, seed=1)
@@ -651,34 +647,58 @@ class TestDispatch:
         p = generate_chain(3)
         assert count(g, p, engine="accel-batch") == nx_count_edge_induced(g, p)
 
+    def test_sparse_graph_default_runs_batched(self, monkeypatch):
+        """Default count and motif census never touch the interpreter.
+
+        The batched and fused engines beat the interpreter on near-forest
+        graphs too (``BENCH_engine.json``), so no density threshold may
+        send the default there.
+        """
+        from repro.core import session as session_module
+        from repro.core.session import MiningSession
+        from repro.mining import motif_counts
+
+        g = _sparse_graph()
+        session = MiningSession(g)
+        triangles = session.count(generate_clique(3), engine="reference")
+        census = motif_counts(MiningSession(g, engine="reference"), 3)
+
+        def interpreter_called(*args, **kwargs):
+            raise AssertionError("the default path ran the interpreter")
+
+        monkeypatch.setattr(session_module, "run_tasks", interpreter_called)
+        assert session.count(generate_clique(3)) == triangles
+        assert motif_counts(session, 3) == census
+        assert session.count(generate_clique(3), plan="auto") == triangles
+        assert session.last_query_plan.engine == "accel-batch"
+
 
 # ----------------------------------------------------------------------
-# Controls on the vectorized engines (guardrail dispatch parity)
+# Controls on the batched engine (guardrail dispatch parity)
 # ----------------------------------------------------------------------
 
 
 class TestControlDispatch:
-    """Control-bearing calls qualify for the vectorized engines.
+    """Control-bearing calls qualify for the batched engine.
 
-    The engines poll the control cooperatively (per start / per core
-    match in ``accel``, per frontier block and emitted match in
-    ``accel-batch``), so a control must change neither dispatch nor —
+    The engine polls the control cooperatively (per frontier block and
+    emitted match), so a control must change neither dispatch nor —
     while it stays un-stopped — the matches or their order.
     """
 
     def test_control_does_not_change_dispatch(self):
-        from repro.core.session import _dispatch_engine
+        from repro.core.session import MiningSession
 
-        g, _ = erdos_renyi(300, 0.05, seed=51).degree_ordered()
-        for plan in (generate_plan(generate_clique(3)),
-                     generate_plan(generate_chain(3))):
-            bare = _dispatch_engine("auto", None, None, None, g, plan)
-            controlled = _dispatch_engine(
-                "auto", ExplorationControl(), None, None, g, plan
-            )
-            assert controlled == bare
+        g = erdos_renyi(300, 0.05, seed=51)
+        session = MiningSession(g)
+        for p in (generate_clique(3), generate_chain(3)):
+            bare = session._prepare(p, session.options())[2]
+            controlled = session._prepare(
+                p, session.options(control=ExplorationControl())
+            )[2]
+            assert controlled == bare == "accel-batch"
 
-    @pytest.mark.parametrize("engine", ["accel", "accel-batch"])
+    @pytest.mark.parametrize("engine", ["accel-batch"])
     def test_forced_engine_accepts_control(self, engine):
         from repro.core.session import MiningSession
 
@@ -692,10 +712,10 @@ class TestControlDispatch:
         g = erdos_renyi(30, 0.25, seed=23)
         p = generate_clique(3)
         ref = _collect_matches(g, p, "reference")
-        accel = _collect_matches(
-            g, p, "accel", control=ExplorationControl()
+        batched = _collect_matches(
+            g, p, "accel-batch", control=ExplorationControl()
         )
-        assert accel == ref
+        assert batched == ref
 
     def test_stopped_control_terminates_accel_early(self):
         g = erdos_renyi(30, 0.25, seed=23)
@@ -709,12 +729,12 @@ class TestControlDispatch:
             seen.append(m.mapping)
             control.stop()
 
-        match(g, p, stop_now, control=control, engine="accel")
+        match(g, p, stop_now, control=control, engine="accel-batch")
         assert 1 <= len(seen) < full
 
 
 # ----------------------------------------------------------------------
-# Direct AcceleratedEngine API (start-vertex slicing for the runtime)
+# Direct FrontierBatchedEngine API (start-vertex slicing for the runtime)
 # ----------------------------------------------------------------------
 
 
@@ -724,9 +744,9 @@ class TestEngineSlicing:
         ordered, _ = g.degree_ordered()
         plan = generate_plan(generate_clique(3))
         view = shared_view(ordered)
-        total = AcceleratedEngine(view).run(plan, count_only=True)
+        total = FrontierBatchedEngine(view).run(plan, count_only=True)
         strided = sum(
-            AcceleratedEngine(view).run(
+            FrontierBatchedEngine(view).run(
                 plan,
                 start_vertices=range(ordered.num_vertices - 1 - off, -1, -3),
                 count_only=True,

@@ -1,9 +1,9 @@
 """Tests for the cost-model-driven adaptive query planner.
 
-Covers the :mod:`repro.runtime.planner` selection logic (engine,
-schedule, chunking, worker budget), the probe-once contract shared by
-admission and planning, fuzzed result parity between ``plan="auto"``
-and the fixed-threshold baseline, and regression tests for the three
+Covers the :mod:`repro.runtime.planner` selection logic (schedule,
+chunking, worker budget, and the engine it reports), the probe-once
+contract shared by admission and planning, fuzzed result parity between
+``plan="auto"`` and the fixed baseline, and regression tests for the three
 estimator bugfixes that shipped with the planner:
 
 * evenly-spaced probe sampling must use a rounded stride (an integer
@@ -34,8 +34,6 @@ from repro.pattern.generators import (
     generate_star,
 )
 from repro.runtime import guards, planner
-
-accel = pytest.importorskip("numpy", reason="planner engine choices need the accel tier")  # noqa: F841
 
 
 def hub_tail_graph(num_hubs: int = 10, num_tail: int = 90):
@@ -168,10 +166,10 @@ class TestPlanSelection:
         assert plan.estimate is not None
         assert plan.reasons  # every choice is explained
 
-    def test_tiny_level1_volume_stays_on_reference(self):
+    def test_tiny_level1_volume_runs_batched(self):
         session = MiningSession(chain_graph(30))
         plan = planner.plan_query(session, generate_chain(3))
-        assert plan.engine == "reference"
+        assert plan.engine == "accel-batch"
 
     def test_pinned_engine_passes_through(self):
         session = MiningSession(erdos_renyi(300, 0.1, seed=3))
@@ -271,12 +269,12 @@ class TestPlanSelection:
         empty = planner.plan_workload(session, [])
         assert empty.engine == "reference"
 
-    def test_workload_plan_on_sparse_members_stays_reference(self):
+    def test_workload_plan_on_sparse_members_fuses(self):
         session = MiningSession(chain_graph(30))
         plan = planner.plan_workload(
             session, [generate_chain(3), generate_star(3)]
         )
-        assert plan.engine == "reference"
+        assert plan.engine == "fused"
 
     def test_invalid_planner_value_rejected(self):
         session = MiningSession(erdos_renyi(40, 0.2, seed=1))
@@ -396,7 +394,7 @@ class TestAutoFixedParity:
         session.count(pattern, plan="auto")
         recorded = session.last_query_plan
         assert isinstance(recorded, planner.QueryPlan)
-        assert recorded.engine in ("reference", "accel", "accel-batch")
+        assert recorded.engine == "accel-batch"
 
 
 # ----------------------------------------------------------------------

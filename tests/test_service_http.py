@@ -8,6 +8,7 @@ error status codes, malformed bodies, and clean shutdown.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -147,6 +148,57 @@ class TestHTTPFront:
         batching = http_server.service.stats()["batching"]
         assert batching["fused_requests"] >= 2
         assert batching["deduped_requests"] >= 1
+
+
+def _raw_post(server: ServiceHTTPServer, content_length: str):
+    """POST with a hand-written Content-Length; return (status, body).
+
+    Only the headers are sent, so a handler that trusts the declared
+    length blocks on the read and the socket timeout fails the test.
+    """
+    host, port = server.address
+    with socket.create_connection((host, port), timeout=5.0) as sock:
+        sock.sendall(
+            b"POST /query HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\n"
+            + f"Content-Length: {content_length}\r\n\r\n".encode()
+        )
+        data = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+class TestBodyLength:
+    @pytest.mark.parametrize(
+        "content_length,status,code",
+        [
+            ("-1", 400, "invalid_request"),
+            ("twelve", 400, "invalid_request"),
+            ("1000000000", 413, "payload_too_large"),
+        ],
+    )
+    def test_bad_length_rejected_before_reading(
+        self, server, content_length, status, code
+    ):
+        http_server, graph = server
+        got_status, body = _raw_post(http_server, content_length)
+        assert got_status == status
+        assert body["ok"] is False
+        assert body["error"]["code"] == code
+        assert body["error"]["status"] == status
+        # The handler thread is free again: ordinary requests still land.
+        ok_status, ok_body = _post(
+            http_server, {"verb": "count", "graph": "g", "pattern": "clique:3"}
+        )
+        assert ok_status == 200
+        assert ok_body["result"]["count"] == MiningSession(graph).count(
+            generate_clique(3)
+        )
 
 
 def test_module_main_parser_defaults():

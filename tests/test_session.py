@@ -243,13 +243,16 @@ class TestExecOptions:
         g = erdos_renyi(10, 0.3, seed=1)
         with pytest.raises(ValueError):
             MiningSession(g).count(generate_clique(3), engine="warp-drive")
+        # "accel" is not an engine name (there is no per-match tier).
+        with pytest.raises(ValueError):
+            MiningSession(g).count(generate_clique(3), engine="accel")
 
     # Distinct-from-default sample values per overridable field, so a
     # field-by-field check can tell "overridden" from "inherited".
     _OVERRIDE_SAMPLES = {
         "edge_induced": st.just(False),
         "symmetry_breaking": st.just(False),
-        "engine": st.sampled_from(["reference", "accel", "accel-batch"]),
+        "engine": st.sampled_from(["reference", "accel-batch"]),
         "frontier_chunk": st.integers(min_value=1, max_value=64),
         "label_index": st.just(False),
         "flush_size": st.integers(min_value=1, max_value=512),
@@ -392,9 +395,8 @@ class TestSessionEarlyTermination:
         assert total == 4
 
     def test_forced_per_match_engine_honors_control(self):
-        # Control-bearing calls now qualify for the vectorized engines:
-        # the per-match engine polls the control per start vertex and per
-        # core match, so a stop from the callback lands promptly.
+        # The per-match interpreter polls the control per candidate, so a
+        # stop from the callback lands on the very next match.
         g = erdos_renyi(30, 0.3, seed=12)
         session = MiningSession(g)
         expected = session.count(generate_clique(3), engine="reference")
@@ -404,7 +406,7 @@ class TestSessionEarlyTermination:
             generate_clique(3),
             seen.append,
             control=ExplorationControl(),
-            engine="accel",
+            engine="reference",
         )
         assert len(seen) == expected  # un-stopped control changes nothing
         control = ExplorationControl()
@@ -418,7 +420,7 @@ class TestSessionEarlyTermination:
             generate_clique(3),
             stop_immediately,
             control=control,
-            engine="accel",
+            engine="reference",
         )
         assert 1 <= len(stopped) < expected
 
@@ -531,18 +533,6 @@ class TestLegacyShims:
         assert inspect.signature(api_module.match_batches).parameters[
             "flush_size"
         ].default == 4096
-
-    def test_dispatch_helpers_still_importable(self):
-        # Documented entry points that rode on the api module.
-        from repro.core.api import (  # noqa: F401
-            ACCEL_BATCH_MIN_AVG_DEGREE,
-            ACCEL_MIN_AVG_DEGREE,
-            accel_preferred,
-            batch_preferred,
-        )
-
-        assert ACCEL_MIN_AVG_DEGREE == 128.0
-        assert ACCEL_BATCH_MIN_AVG_DEGREE == 2.0
 
     def test_precomputed_plan_still_honored(self):
         from repro.core import generate_plan
