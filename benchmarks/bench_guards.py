@@ -3,8 +3,8 @@ tolerance cost when you are *not* using them.
 
 PR 7's execution guardrails ride the hot paths: every engine polls an
 optional budget between frontier chunks, the session verbs route
-through admission guards, and ``process_count``'s dynamic schedule runs
-on crash-tolerant lease-board workers instead of a ``Pool``.  The
+through admission guards, and ``process_count`` runs (under either
+schedule) on crash-tolerant lease-board workers instead of a ``Pool``.  The
 robustness story only holds if the disarmed cost is negligible, so this
 bench pins two ratios:
 

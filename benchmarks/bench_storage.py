@@ -112,19 +112,35 @@ def _touch_and_measure(_worker_id):
     }
 
 
+def _shm_segments(view):
+    """Copy a view's CSR buffers into named shared-memory segments.
+
+    The shm tier is measured here only as the baseline the process
+    runner's fork/``.rgx`` sharing is compared against; the runner
+    itself never allocates segments.
+    """
+    from multiprocessing import shared_memory
+
+    segments, meta = [], []
+    for arr in view.csr():
+        if arr is None:  # unlabeled graph
+            continue
+        seg = shared_memory.SharedMemory(create=True, size=max(1, arr.nbytes))
+        np.ndarray((arr.size,), dtype=arr.dtype, buffer=seg.buf)[:] = arr
+        segments.append(seg)
+        meta.append((seg.name, int(arr.size)))
+    return segments, meta
+
+
 def _fanout_probe(graph, rgx_path: str, workers: int) -> dict:
     """Worker residency under shm fan-out vs mmap fan-out of one CSR."""
     from repro.core import accel
-    from repro.runtime import parallel as parallel_module
 
     ctx = multiprocessing.get_context("fork")
     ordered, _ = graph.degree_ordered()
     view = accel.shared_view(ordered)
 
-    segments, meta = parallel_module._shm_segments(view)
-    shm_meta = [
-        (name, size) for name, size in meta.values() if name
-    ]
+    segments, shm_meta = _shm_segments(view)
     shm_bytes = sum(seg.size for seg in segments)
     try:
         with ctx.Pool(

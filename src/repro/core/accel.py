@@ -165,11 +165,12 @@ class AcceleratedGraphView:
 
     The flat/offset arrays are plain contiguous ``int64`` buffers, which
     makes the view cheap to share: fork-inherited copy-on-write pages or
-    ``multiprocessing.shared_memory`` segments both work without pickling
-    a single adjacency list (see :func:`repro.runtime.parallel.process_count`).
+    a re-mapped ``.rgx`` store both work without pickling a single
+    adjacency list (see :func:`repro.runtime.parallel.process_count_many`).
     """
 
     __slots__ = (
+        "__weakref__",
         "graph",
         "_flat",
         "_offsets",

@@ -278,8 +278,8 @@ class ExecOptions:
         ``schedule="dynamic"`` (default) has workers pull
         degree-weighted frontier chunks from a shared cursor until the
         queue drains (work stealing — stragglers on skewed graphs are
-        absorbed by whoever is free), ``"static"`` pre-assigns each
-        worker a stride slice of the frontier (the ablation baseline).
+        absorbed by whoever is free), ``"static"`` cuts the frontier
+        into one stride slice per worker (the ablation baseline).
         ``chunk_hint`` sets the target tasks-per-chunk on a uniform
         frontier (weight-normalized on skewed ones); ``None`` sizes
         chunks automatically.  Single-worker runs ignore both.

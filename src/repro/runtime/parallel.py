@@ -1,4 +1,4 @@
-"""Concurrent matching runtime: thread pool + process pool (§5, Fig 12).
+"""Concurrent matching runtime: thread pool + process runner (§5, Fig 12).
 
 ``parallel_match`` reproduces Peregrine's architecture faithfully: worker
 threads pull degree-weighted frontier chunks from a shared atomic-counter
@@ -11,26 +11,29 @@ frontier blocks and per emitted match; ``engine="reference"`` keeps the
 threads on the interpreter (per-thread :class:`EngineStats`), where
 CPython's GIL serializes the list operations.
 
-Process-level scaling is ``process_count`` — a process pool that shares
-the CSR adjacency arrays of the accelerated view with every worker
-(fork-inherited copy-on-write pages or ``multiprocessing.shared_memory``
-segments — never per-worker graph pickling) and sums counts — which the
-Figure 12 scalability benchmark uses.  ``process_count_many`` is its
-multi-pattern overload: whole fused groups (motif censuses, FSM rounds)
-run their shared frontier walk chunk-by-chunk across processes.
+Process-level scaling is one crash-tolerant runner:
+``process_count_many`` starts worker processes that lease chunks from a
+shared :class:`~repro.runtime.scheduler.LeaseBoard`, run each chunk's
+fused pattern group, and land its counts exactly once; chunks whose
+worker died are requeued.  ``process_count`` is its one-pattern wrapper,
+and the Figure 12 scalability benchmark drives it.  Workers inherit the
+parent's CSR view where the fork start method exists; elsewhere they
+spawn and re-open the graph's ``.rgx`` store (never per-worker graph
+pickling).
 
 **Work placement** is one layer, :mod:`repro.runtime.scheduler`, shared
-by threads and processes: the frontier is cut into degree-weighted
-chunks (:class:`~repro.runtime.scheduler.ChunkLedger`, same closing rule
-as the engines' :func:`~repro.core.accel.bounded_slices`) and workers
-*pull* chunk indices from a shared cursor until the queue drains —
-``threading.Lock`` under threads, a ``multiprocessing.Value`` under
-processes.  This dynamic schedule (``schedule="dynamic"``, the default)
-absorbs stragglers on skewed graphs: whoever finishes early keeps
-pulling, so one mega-hub task never holds the whole run the way a fixed
-partition does.  ``schedule="static"`` keeps the historical up-front
-stride slicing as the ablation baseline (``benchmarks/bench_parallel.py``
-measures the gap; ``chunk_hint`` tunes chunk granularity).
+by threads and processes: the frontier is cut into chunks
+(:class:`~repro.runtime.scheduler.ChunkLedger`) and workers *pull* chunk
+indices from a shared cursor until the queue drains — ``threading.Lock``
+under threads, a ``multiprocessing.Value`` under processes.  The two
+schedules are two ways to cut the ledger.  ``schedule="dynamic"`` (the
+default) makes degree-weighted chunks (same closing rule as the engines'
+:func:`~repro.core.accel.bounded_slices`), which absorbs stragglers on
+skewed graphs: whoever finishes early keeps pulling, so one mega-hub
+task never holds the whole run the way a fixed partition does.
+``schedule="static"`` makes one stride slice per worker, the ablation
+baseline (``benchmarks/bench_parallel.py`` measures the gap;
+``chunk_hint`` tunes dynamic chunk granularity).
 
 Both entry points accept a :class:`~repro.core.session.MiningSession` in
 place of the graph: the runtime then reuses the session's degree
@@ -45,7 +48,7 @@ import os
 import threading
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from ..errors import (
@@ -57,7 +60,6 @@ from ..errors import (
 from ..core import accel
 from ..core.callbacks import Aggregator, ExplorationControl, Match
 from ..core.engine import EngineStats, run_tasks
-from ..core.plan import generate_plan
 from ..core.session import (
     MiningSession,
     MultiPatternPlan,
@@ -87,7 +89,6 @@ __all__ = [
 ]
 
 _SCHEDULE_CHOICES = ("dynamic", "static")
-_SHARE_MODES = ("fork", "shm", "mmap")
 
 # Crash-tolerance knobs.  A chunk whose worker dies is requeued up to
 # MAX_CHUNK_RETRIES times before the run gives up with WorkerCrashError
@@ -217,6 +218,32 @@ def _thread_engine_mode(engine: str) -> str:
     if engine not in choices:
         raise ValueError(f"engine must be one of {choices}, got {engine!r}")
     return "reference" if engine == "reference" else "accel-batch"
+
+
+def _count_frontier(session, plan, batched=True, need_weights=True):
+    """The level-0 frontier (and per-start weights) for one engine.
+
+    The batched engine slices the hub-first, label-filtered frontier of
+    the shared CSR view; the reference engine does its own per-start
+    label checks, so its frontier is the plain hub-first id order.
+    Weights are ``degree + 1`` — the same rule the fused runner uses to
+    bound slice work — so chunk extents track expected per-start cost.
+    Static schedules never read the weights, so callers skip the
+    (reference: O(n) Python) derivation with ``need_weights=False``.
+    """
+    if batched:
+        view = session.view
+        frontier = accel.frontier_start_order(
+            view.labels, view.num_vertices, plan
+        )
+        weights = view.degrees()[frontier] + 1 if need_weights else None
+        return frontier, weights
+    ordered = session.ordered
+    frontier = range(ordered.num_vertices - 1, -1, -1)
+    weights = (
+        [ordered.degree(v) + 1 for v in frontier] if need_weights else None
+    )
+    return frontier, weights
 
 
 def parallel_match(
@@ -423,101 +450,44 @@ def parallel_match(
 
 
 # ----------------------------------------------------------------------
-# Process-based scaling (Figure 12): real parallelism for the speedup
-# curve.  The CSR adjacency arrays of the accelerated view are shared
-# with workers instead of pickling per-worker graph copies:
-#
-# * ``share_mode="fork"`` (default where fork exists) publishes the view
-#   and plan in a module global before the pool forks — children inherit
-#   the numpy buffers copy-on-write, so worker startup moves zero graph
-#   bytes no matter how many processes run;
-# * ``share_mode="shm"`` copies the CSR buffers into
-#   ``multiprocessing.shared_memory`` segments once and has each worker
-#   re-wrap them as arrays — one graph copy total, works under any start
-#   method;
-# * ``share_mode="mmap"`` points every worker at an on-disk ``.rgx``
-#   store (the graph's own backing file when it is already
-#   degree-sorted on disk, otherwise a temporary spill): workers re-open
-#   and map the file, so all processes share one set of physical pages
-#   through the OS page cache — zero copies, zero shm segments, works
-#   under any start method.  shm stays as the ablation and the fallback
-#   for graphs that only exist in memory.
-#
-# Every worker drives the frontier-batched engine over the shared view.
-#
-# Work placement is orthogonal: ``schedule="dynamic"`` (default) has
-# workers pull degree-weighted frontier chunks from a shared
-# ``ProcessCursor`` until drained; ``schedule="static"`` keeps the
-# legacy up-front stride slices.
-# ----------------------------------------------------------------------
-
-_WORKER_STATE: dict = {}
-
-
-def _pattern_from_signature(signature) -> Pattern:
-    num_vertices, edges, anti_edges, label_items = signature
-    return Pattern(
-        num_vertices=num_vertices,
-        edges=edges,
-        anti_edges=anti_edges,
-        labels=dict(label_items),
-    )
-
-
-def _fork_init(view, plan, ledger=None):
-    """Fork-pool initializer: state arrives fork-inherited, not pickled.
-
-    Under the fork start method ``initargs`` are plain references the
-    child inherits copy-on-write — nothing is serialized — and binding
-    them in the *child's* ``_WORKER_STATE`` keeps concurrent
-    ``process_count`` calls in the parent from clobbering each other
-    through a shared module global.
-    """
-    _WORKER_STATE["view"] = view
-    _WORKER_STATE["plan"] = plan
-    _WORKER_STATE["ledger"] = ledger
-
-
-def _batch_count_slice(args: tuple[int, int]) -> int:
-    """Frontier-batched count over a strided slice of the level-0 frontier.
-
-    Workers slice the *frontier* (hub-first, label-filtered live tasks)
-    rather than raw vertex-id ranges: every worker gets an interleaved
-    mix of hub and leaf tasks, and label-pruned vertices never skew the
-    partition — better load balance than start-vertex ranges when labels
-    (or degree skew) concentrate the work.
-    """
-    offset, stride = args
-    view = _WORKER_STATE["view"]
-    plan = _WORKER_STATE["plan"]
-    frontier = accel.frontier_start_order(view.labels, view.num_vertices, plan)
-    return accel.FrontierBatchedEngine(view).run(
-        plan, start_vertices=frontier[offset::stride], count_only=True
-    )
-
-
-# ----------------------------------------------------------------------
-# Crash-tolerant dynamic draining: chunk leases + requeue rounds.
+# Process-based scaling (Figure 12): one crash-tolerant lease-board
+# runner.
 #
 # ``multiprocessing.Pool`` is the wrong substrate for fault tolerance —
 # a worker that dies abruptly mid-task leaves ``pool.map`` hung (or, on
 # newer CPythons, kills the whole map with no record of which inputs
-# finished).  The dynamic schedules therefore run raw ``ctx.Process``
-# workers over a :class:`~repro.runtime.scheduler.LeaseBoard`: a worker
-# *leases* a chunk before running it and lands the chunk's counts
-# atomically with its done-mark, so after every worker exits the parent
-# knows exactly which chunks never completed.  Those are requeued into a
-# fresh round of workers (bounded by :data:`MAX_CHUNK_RETRIES` per
-# chunk); when even respawning fails (fork/spawn returning ``OSError``
-# under resource exhaustion) the parent degrades to running the
-# remaining chunks in-process.  Exact counts survive any single- or
-# multi-worker crash because a chunk's count lands exactly once.
+# finished).  The runner therefore starts raw ``ctx.Process`` workers
+# over a :class:`~repro.runtime.scheduler.LeaseBoard`: a worker *leases*
+# a chunk before running it and lands the chunk's counts atomically with
+# its done-mark, so after every worker exits the parent knows exactly
+# which chunks never completed.  Those are requeued into a fresh round of
+# workers (bounded by :data:`MAX_CHUNK_RETRIES` per chunk); when even
+# respawning fails (fork/spawn returning ``OSError`` under resource
+# exhaustion) the parent degrades to running the remaining chunks
+# in-process.  Exact counts survive any single- or multi-worker crash
+# because a chunk's count lands exactly once.
+#
+# Both schedules drain the same board; they differ only in how the
+# ledger is cut — degree-weighted chunks (``ChunkLedger.build``) or one
+# stride slice per worker (``ChunkLedger.static``).
+#
+# The graph reaches workers one of two ways, picked by the platform:
+# where the fork start method exists, workers inherit the parent's CSR
+# view copy-on-write (zero bytes moved, adjacency keys and hub index
+# included); elsewhere they spawn and re-open an on-disk ``.rgx`` store —
+# the graph's own degree-sorted backing file, or one temporary spill —
+# sharing its pages through the OS page cache.
 #
 # Cancellation rides the same machinery: a shared one-way flag that
 # workers poll between chunks and engines poll inside a chunk (via
 # :class:`_SharedCancel`), bridged from the caller's
 # ``ExplorationControl`` by a parent-side thread.
 # ----------------------------------------------------------------------
+
+
+def _fork_available() -> bool:
+    """Whether workers can inherit the parent's view (fork start method)."""
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def _parse_fault(spec: str | None):
@@ -571,101 +541,91 @@ class _SharedCancel:
         self._flag.value = 1
 
 
-def _tolerant_worker(
-    worker_id, board, cursor, active, cancel_flag, fault_spec, init, init_args
-):
+@dataclass(frozen=True)
+class _Job:
+    """Everything a worker needs, passed as a ``Process`` argument.
+
+    ``graph`` is the parent's :class:`~repro.core.accel.AcceleratedGraphView`
+    under fork (inherited, never pickled) or an ``.rgx`` path under spawn.
+    Chunk indices are global across fused groups: ``offsets[g]`` is the
+    first index of group ``g``, whose chunks come from ``ledgers[g]``.
+    """
+
+    graph: object
+    plans: list
+    groups: list
+    ledgers: list
+    offsets: list
+    frontier_chunk: int | None
+
+
+def _worker_state(job: _Job):
+    """A worker's ``(view, members per group, store)``, built locally.
+
+    Nothing is bound in a module global, so a run drained in-process
+    (the respawn-failure fallback) pins nothing once it returns.  A
+    re-opened store is returned so the worker can release its mapping.
+    """
+    store = None
+    view = job.graph
+    if isinstance(view, str):
+        from ..graph.binary_io import GraphStore
+
+        store = GraphStore(view)
+        view = accel.shared_view(store.graph())
+    members_of = [
+        [(job.plans[idx], None, None) for idx in group] for group in job.groups
+    ]
+    return view, members_of, store
+
+
+def _worker(worker_id, board, cursor, active, cancel_flag, fault_spec, job):
     """One crash-tolerant worker: claim, lease, run, land — repeat.
 
     ``active`` is this round's list of still-pending chunk indices; the
     cursor claims positions into it, so requeued rounds reuse the same
-    protocol over a shrinking list.  A chunk interrupted by cancellation
-    is deliberately *not* completed — its count is partial — so the
-    parent's partial total only ever sums fully-counted chunks.
+    protocol over a shrinking list.  Each chunk runs its whole fused
+    group through :func:`repro.core.accel.fused_run`, so shared
+    first-level gathers keep amortizing inside a chunk.  A chunk
+    interrupted by cancellation is deliberately *not* completed — its
+    count is partial — so the parent's partial total only ever sums
+    fully-counted chunks.
     """
-    init(*init_args)
-    ledger: ChunkLedger = _WORKER_STATE["ledger"]
-    plan = _WORKER_STATE["plan"]
-    engine = accel.FrontierBatchedEngine(_WORKER_STATE["view"])
+    view, members_of, store = _worker_state(job)
     # The shared flag reaches the engine of every chunk run, so a cancel
     # stops workers *inside* a chunk, between frontier blocks.
     control = _SharedCancel(cancel_flag)
-    while True:
-        if cancel_flag.value:
-            return
-        pos = cursor.claim()
-        if pos >= len(active):
-            return
-        index = active[pos]
-        board.lease(index, worker_id)
-        _fault(worker_id, index, fault_spec)
-        count = engine.run(
-            plan,
-            start_vertices=ledger.chunk(index),
-            count_only=True,
-            control=control,
-        )
-        if cancel_flag.value:
-            return
-        board.complete(index, (count,))
+    try:
+        while not cancel_flag.value:
+            pos = cursor.claim()
+            if pos >= len(active):
+                return
+            index = active[pos]
+            board.lease(index, worker_id)
+            _fault(worker_id, index, fault_spec)
+            gi = bisect_right(job.offsets, index) - 1
+            counts = accel.fused_run(
+                view,
+                members_of[gi],
+                start_vertices=job.ledgers[gi].chunk(index - job.offsets[gi]),
+                chunk=job.frontier_chunk,
+                control=control,
+            )
+            if cancel_flag.value:
+                return
+            board.complete(index, counts)
+    finally:
+        if store is not None:
+            store.close()
 
 
-def _tolerant_worker_many(
-    worker_id, board, cursor, active, cancel_flag, fault_spec, init, init_args
-):
-    """Multi-pattern tolerant worker: each chunk runs its whole fused group."""
-    init(*init_args)
-    view = _WORKER_STATE["view"]
-    plans = _WORKER_STATE["many_plans"]
-    groups = _WORKER_STATE["many_groups"]
-    ledgers = _WORKER_STATE["many_ledgers"]
-    offsets = _WORKER_STATE["many_offsets"]
-    frontier_chunk = _WORKER_STATE["many_frontier_chunk"]
-    members_of = [
-        [(plans[idx], None, None) for idx in group] for group in groups
-    ]
-    control = _SharedCancel(cancel_flag)
-    while True:
-        if cancel_flag.value:
-            return
-        pos = cursor.claim()
-        if pos >= len(active):
-            return
-        index = active[pos]
-        board.lease(index, worker_id)
-        _fault(worker_id, index, fault_spec)
-        gi = bisect_right(offsets, index) - 1
-        chunk = ledgers[gi].chunk(index - offsets[gi])
-        counts = accel.fused_run(
-            view,
-            members_of[gi],
-            start_vertices=chunk,
-            chunk=frontier_chunk,
-            control=control,
-        )
-        if cancel_flag.value:
-            return
-        board.complete(index, counts)
+def _lease_rounds(ctx, num_workers, board, num_chunks, cancel, job):
+    """Run worker rounds until every chunk lands; ``(pending, failed)``.
 
-
-def _tolerant_rounds(
-    ctx,
-    num_workers,
-    worker_fn,
-    board,
-    num_chunks,
-    cancel,
-    fault_spec,
-    partial_fn,
-    init,
-    init_args,
-):
-    """Drive lease/requeue rounds until every chunk's count has landed.
-
-    Raises :class:`~repro.errors.WorkerCrashError` when a chunk exhausts
-    its retries and :class:`~repro.errors.QueryCancelledError` when
-    ``cancel`` fires with chunks outstanding — both carrying
-    ``partial_fn(reason, detail)`` as the structured partial.
+    Returns early with chunks still ``pending`` when ``cancel`` fires,
+    and with ``failed`` chunks once one exhausts its retries.
     """
+    fault_spec = _parse_fault(os.environ.get(FAULT_ENV))
     cancel_flag = ctx.Value("b", 0)
     pending = list(range(num_chunks))
     retries = [0] * num_chunks
@@ -692,100 +652,117 @@ def _tolerant_rounds(
             if cancel is not None and cancel.stopped:
                 cancel_flag.value = 1
             if cancel_flag.value:
-                break
+                return pending, []
             active = pending
             cursor = ProcessCursor(ctx)
             procs = []
             for _ in range(min(num_workers, len(active))):
-                worker_id = next_worker
-                next_worker += 1
                 proc = ctx.Process(
-                    target=worker_fn,
+                    target=_worker,
                     args=(
-                        worker_id, board, cursor, active, cancel_flag,
-                        fault_spec, init, init_args,
+                        next_worker, board, cursor, active, cancel_flag,
+                        fault_spec, job,
                     ),
-                    name=f"tolerant-{worker_id}",
+                    name=f"tolerant-{next_worker}",
                 )
                 try:
                     proc.start()
                 except OSError:
                     break
+                next_worker += 1
                 procs.append(proc)
             if not procs:
                 # Respawn failed outright (fd/pid exhaustion): degrade to
                 # in-process draining.  Fault injection is disabled here —
                 # os._exit in the caller's process is not a recovery.
-                worker_fn(
-                    next_worker, board, cursor, active, cancel_flag,
-                    None, init, init_args,
+                _worker(
+                    next_worker, board, cursor, active, cancel_flag, None, job
                 )
                 next_worker += 1
-            else:
-                for proc in procs:
-                    proc.join()
-            remaining = board.pending(active)
+            for proc in procs:
+                proc.join()
+            pending = board.pending(active)
             if cancel_flag.value:
-                pending = remaining
-                break
+                return pending, []
             failed = []
-            for index in remaining:
+            for index in pending:
                 retries[index] += 1
                 if retries[index] > MAX_CHUNK_RETRIES:
                     failed.append(index)
             if failed:
-                raise WorkerCrashError(
-                    f"{len(failed)} chunk(s) still incomplete after "
-                    f"{MAX_CHUNK_RETRIES} requeue(s): workers keep dying "
-                    f"on chunk(s) {failed[:8]}",
-                    partial_fn(
-                        "worker crash",
-                        {
-                            "failed_chunks": failed,
-                            "retries": MAX_CHUNK_RETRIES,
-                            "num_chunks": num_chunks,
-                        },
-                    ),
-                )
-            pending = remaining
+                return pending, failed
+        return [], []
     finally:
         bridge_stop.set()
         if bridge is not None:
             bridge.join()
+
+
+def _drain(ctx, num_workers, job, cancel, num_patterns):
+    """Drain every chunk of ``job`` over one lease board; per-pattern totals.
+
+    Each chunk's count slots hold one value per fused-group member.
+    Raises :class:`~repro.errors.WorkerCrashError` when a chunk exhausts
+    its retries and :class:`~repro.errors.QueryCancelledError` when
+    ``cancel`` fires with chunks outstanding — both carrying the partial
+    over fully-counted chunks, per-pattern totals in
+    ``partial.detail["totals"]``.
+    """
+    num_chunks = job.offsets[-1]
+    if num_chunks == 0:
+        return [0] * num_patterns
+    slot_offsets = [0]
+    for group, ledger in zip(job.groups, job.ledgers):
+        for _ in range(len(ledger)):
+            slot_offsets.append(slot_offsets[-1] + len(group))
+    board = LeaseBoard(ctx, num_chunks, slot_offsets)
+
+    def totals_of(indices):
+        totals = [0] * num_patterns
+        for index in indices:
+            gi = bisect_right(job.offsets, index) - 1
+            for pos, value in enumerate(board.values(index)):
+                totals[job.groups[gi][pos]] += value
+        return totals
+
+    def partial(reason, detail):
+        done = board.done_indices(num_chunks)
+        totals = totals_of(done)
+        return PartialResult(
+            sum(totals),
+            levels_completed=len(done),
+            truncated=True,
+            reason=reason,
+            detail={**detail, "totals": totals},
+        )
+
+    pending, failed = _lease_rounds(
+        ctx, num_workers, board, num_chunks, cancel, job
+    )
+    if failed:
+        raise WorkerCrashError(
+            f"{len(failed)} chunk(s) still incomplete after "
+            f"{MAX_CHUNK_RETRIES} requeue(s): workers keep dying "
+            f"on chunk(s) {failed[:8]}",
+            partial(
+                "worker crash",
+                {
+                    "failed_chunks": failed,
+                    "retries": MAX_CHUNK_RETRIES,
+                    "num_chunks": num_chunks,
+                },
+            ),
+        )
     if pending:
         raise QueryCancelledError(
             f"query cancelled with {len(pending)} of {num_chunks} "
             f"chunk(s) incomplete",
-            partial_fn(
+            partial(
                 "cancelled",
                 {"pending_chunks": len(pending), "num_chunks": num_chunks},
             ),
         )
-
-
-def _tolerant_count(ctx, num_workers, init, init_args, ledger, cancel):
-    """Crash-tolerant dynamic drain for ``process_count``; exact total."""
-    num_chunks = len(ledger)
-    if num_chunks == 0:
-        return 0
-    board = LeaseBoard(ctx, num_chunks)
-    fault_spec = _parse_fault(os.environ.get(FAULT_ENV))
-
-    def partial_fn(reason, detail):
-        done = board.done_indices(num_chunks)
-        return PartialResult(
-            sum(board.values(i)[0] for i in done),
-            levels_completed=len(done),
-            truncated=True,
-            reason=reason,
-            detail=detail,
-        )
-
-    _tolerant_rounds(
-        ctx, num_workers, _tolerant_worker, board, num_chunks, cancel,
-        fault_spec, partial_fn, init, init_args,
-    )
-    return sum(board.values(i)[0] for i in range(num_chunks))
+    return totals_of(range(num_chunks))
 
 
 def _apply_guard_mode(
@@ -840,116 +817,16 @@ def _apply_guard_mode(
     return num_processes, frontier_chunk
 
 
-def _tolerant_count_many(
-    ctx, num_workers, init, init_args, groups, ledgers, offsets, cancel,
-    num_patterns,
-):
-    """Crash-tolerant dynamic drain for ``process_count_many``.
-
-    Returns exact per-pattern totals; chunk indices are global across
-    groups (``offsets`` maps an index to its group) and each chunk's
-    count slots hold one value per fused-group member.
-    """
-    num_chunks = offsets[-1]
-    if num_chunks == 0:
-        return [0] * num_patterns
-    slot_offsets = [0]
-    for gi, ledger in enumerate(ledgers):
-        width = len(groups[gi])
-        for _ in range(len(ledger)):
-            slot_offsets.append(slot_offsets[-1] + width)
-    board = LeaseBoard(ctx, num_chunks, slot_offsets)
-    fault_spec = _parse_fault(os.environ.get(FAULT_ENV))
-
-    def totals_of(indices):
-        totals = [0] * num_patterns
-        for index in indices:
-            gi = bisect_right(offsets, index) - 1
-            values = board.values(index)
-            for pos, pattern_index in enumerate(groups[gi]):
-                totals[pattern_index] += values[pos]
-        return totals
-
-    def partial_fn(reason, detail):
-        done = board.done_indices(num_chunks)
-        totals = totals_of(done)
-        merged = dict(detail)
-        merged["totals"] = totals
-        return PartialResult(
-            sum(totals),
-            levels_completed=len(done),
-            truncated=True,
-            reason=reason,
-            detail=merged,
-        )
-
-    _tolerant_rounds(
-        ctx, num_workers, _tolerant_worker_many, board, num_chunks, cancel,
-        fault_spec, partial_fn, init, init_args,
-    )
-    return totals_of(range(num_chunks))
-
-
-def _shm_init(segment_meta, signature, edge_induced, symmetry_breaking,
-              ledger=None):
-    """Re-wrap shared-memory CSR segments as a view (no graph pickling)."""
-    import numpy as np
-    from multiprocessing import shared_memory
-
-    arrays = {}
-    segments = []
-    for key, (name, length) in segment_meta.items():
-        if name is None:
-            arrays[key] = None
-            continue
-        # Pool children share the parent's resource-tracker process, so
-        # attaching re-registers the same name as a no-op; the parent
-        # owns the segment lifetime and unlinks it once.
-        seg = shared_memory.SharedMemory(name=name)
-        segments.append(seg)
-        arrays[key] = np.ndarray((length,), dtype=np.int64, buffer=seg.buf)
-    _WORKER_STATE["view"] = accel.AcceleratedGraphView.from_csr(
-        arrays["flat"], arrays["offsets"], arrays["labels"]
-    )
-    _WORKER_STATE["segments"] = segments  # keep buffers alive
-    _WORKER_STATE["plan"] = generate_plan(
-        _pattern_from_signature(signature),
-        edge_induced=edge_induced,
-        symmetry_breaking=symmetry_breaking,
-    )
-    _WORKER_STATE["ledger"] = ledger
-
-
-def _shm_segments(view):
-    """Copy a view's CSR buffers into named shared-memory segments."""
-    import numpy as np
-    from multiprocessing import shared_memory
-
-    flat, offsets, labels = view.csr()
-    segments = []
-    meta = {}
-    for key, arr in (("flat", flat), ("offsets", offsets), ("labels", labels)):
-        if arr is None:
-            meta[key] = (None, 0)
-            continue
-        seg = shared_memory.SharedMemory(create=True, size=max(1, arr.nbytes))
-        seg_arr = np.ndarray((arr.size,), dtype=arr.dtype, buffer=seg.buf)
-        seg_arr[:] = arr
-        segments.append(seg)
-        meta[key] = (seg.name, int(arr.size))
-    return segments, meta
-
-
-def _mmap_store(session):
+def _rgx_store(session):
     """An on-disk degree-ordered ``.rgx`` path for the session's graph.
 
     Returns ``(path, is_temp)``.  When the session's ordered graph is
     already array-backed by an on-disk store (a converted ``.rgx`` file
-    whose ids are degree-sorted) the workers re-open that file directly
-    and nothing is written.  Anything else — generated graphs, unsorted
-    stores — is spilled to a temporary ``.rgx`` once; the caller must
-    unlink it (workers keep their mappings alive across the unlink, so
-    cleanup in a ``finally`` is safe even mid-run).
+    whose ids are degree-sorted) spawned workers re-open that file
+    directly and nothing is written.  Anything else — generated graphs,
+    unsorted stores — is spilled to a temporary ``.rgx`` once; the caller
+    must unlink it (workers keep their mappings alive across the unlink,
+    so cleanup in a ``finally`` is safe even mid-run).
     """
     import tempfile
 
@@ -965,343 +842,36 @@ def _mmap_store(session):
     return path, True
 
 
-def _mmap_init(path, signature, edge_induced, symmetry_breaking,
-               ledger=None):
-    """Re-open the on-disk ``.rgx`` store in this worker.
-
-    Nothing is copied or pickled: the worker maps the same file the
-    parent resolved, so every process shares one set of physical pages
-    through the OS page cache; the view aliases the mapped sections.
-    """
-    from ..graph.binary_io import GraphStore
-
-    store = GraphStore(path)
-    _WORKER_STATE["store"] = store  # keep the mappings alive
-    _WORKER_STATE["view"] = accel.shared_view(store.graph())
-    _WORKER_STATE["plan"] = generate_plan(
-        _pattern_from_signature(signature),
-        edge_induced=edge_induced,
-        symmetry_breaking=symmetry_breaking,
-    )
-    _WORKER_STATE["ledger"] = ledger
-
-
-def _count_frontier(session, plan, batched=True, need_weights=True):
-    """The level-0 frontier (and per-start weights) for one engine.
-
-    The batched engine slices the hub-first, label-filtered frontier of
-    the shared CSR view; the reference engine does its own per-start
-    label checks, so its frontier is the plain hub-first id order.
-    Weights are ``degree + 1`` — the same rule the fused runner uses to
-    bound slice work — so chunk extents track expected per-start cost.
-    Static schedules never read the weights, so callers skip the
-    (reference: O(n) Python) derivation with ``need_weights=False``.
-    """
-    if batched:
-        view = session.view
-        frontier = accel.frontier_start_order(
-            view.labels, view.num_vertices, plan
-        )
-        weights = view.degrees()[frontier] + 1 if need_weights else None
-        return frontier, weights
-    ordered = session.ordered
-    frontier = range(ordered.num_vertices - 1, -1, -1)
-    weights = (
-        [ordered.degree(v) + 1 for v in frontier] if need_weights else None
-    )
-    return frontier, weights
-
-
 def process_count(
     graph: DataGraph | MiningSession,
     pattern: Pattern,
     num_processes: int | None = 2,
     edge_induced: bool = True,
     symmetry_breaking: bool = True,
-    share_mode: str | None = None,
     schedule: str | None = None,
     chunk_hint: int | None = None,
     cancel: ExplorationControl | None = None,
     guard: str | None = None,
     plan: str | None = None,
 ) -> int:
-    """Count matches with a process pool (true parallel speedup).
+    """Count matches of one pattern with worker processes.
 
-    ``num_processes=None`` defers pool sizing: under ``plan="auto"`` the
-    planner sizes the pool from measured work volume (budgeted at the
-    machine's core count); under ``plan="fixed"`` the legacy default of
-    :data:`DEFAULT_NUM_PROCESSES` applies.
-
-    Workers consume the level-0 *frontier* (hub-first, label-filtered
-    start tasks).  Under ``schedule="dynamic"`` (default) the frontier
-    is cut into degree-weighted chunks that workers pull from a shared
-    cursor until drained — the work-stealing schedule that absorbs
-    stragglers on skewed (power-law) graphs, where a fixed partition
-    leaves one process holding the heaviest hub *and* its full share of
-    everything else.  ``schedule="static"`` keeps the legacy up-front
-    stride slices (the §5.2 interleaving without stealing), and
-    ``chunk_hint`` tunes dynamic chunk granularity (target starts per
-    chunk on a uniform frontier; default sizes chunks automatically).
-    ``None`` values inherit the session's
-    :class:`~repro.core.session.ExecOptions` defaults.
-
-    The graph reaches workers via shared CSR arrays (see the
-    ``share_mode`` modes above), so scaling ``num_processes`` does not
-    multiply graph copies or pickling time.  A
-    :class:`~repro.core.session.MiningSession` may be passed in place of
-    the graph to reuse its cached ordering and plans.
-
-    Dynamic schedules are **crash-tolerant**: chunk leases over a shared
-    :class:`~repro.runtime.scheduler.LeaseBoard` let the parent requeue
-    any chunk whose worker died before its count landed (bounded
-    retries, then :class:`~repro.errors.WorkerCrashError` carrying the
-    partial), so a mid-run worker death still yields the exact count.
-    ``cancel`` (any :class:`~repro.core.callbacks.ExplorationControl`,
-    e.g. a :class:`~repro.runtime.termination.DeadlineControl`) is
-    bridged into a shared flag workers honor *mid-chunk*; firing it with
-    chunks outstanding raises
-    :class:`~repro.errors.QueryCancelledError` with the partial count.
-    ``guard`` ("refuse" or "downgrade") runs the
-    :mod:`~repro.runtime.guards` admission probe first — refusing
-    predicted-explosive queries or capping the worker count.
+    The single-pattern face of :func:`process_count_many` — same runner,
+    same knobs, one member: ``process_count_many(graph, [pattern],
+    ...)[pattern]``.  The Figure 12 scalability benchmark drives it.
     """
-    session = as_session(graph)
-    plan_mode = _resolve_plan_mode(session, plan)
-    num_processes = _resolve_pool_size(
-        num_processes, plan_mode, DEFAULT_NUM_PROCESSES
-    )
-    num_processes, _ = _apply_guard_mode(
-        session, [pattern], guard, num_processes, None, edge_induced,
-        symmetry_breaking,
-    )
-    if plan_mode == "auto":
-        # Probe → (admit above) → plan, sharing the session-cached
-        # estimate with the guard.  The plan caps the pool at the work
-        # volume and picks schedule/chunk for knobs the caller left
-        # unset; cancellation requires the dynamic schedule, so a
-        # cancel token keeps it.
-        from . import planner as _planner
-
-        query_plan = _planner.plan_query(
-            session,
-            pattern,
-            session.options(
-                edge_induced=edge_induced,
-                symmetry_breaking=symmetry_breaking,
-            ),
-            num_workers=num_processes,
-        )
-        num_processes = query_plan.num_workers
-        if schedule is None and cancel is None:
-            schedule = query_plan.schedule
-        if chunk_hint is None:
-            chunk_hint = query_plan.chunk_hint
-    schedule, chunk_hint = _resolve_scheduling(session, schedule, chunk_hint)
-    if cancel is not None and schedule != "dynamic":
-        raise ValueError("cancel requires schedule='dynamic'")
-    has_fork = "fork" in multiprocessing.get_all_start_methods()
-    if share_mode is None:
-        share_mode = "fork" if has_fork else "shm"
-    if share_mode not in _SHARE_MODES:
-        raise ValueError(
-            f"share_mode must be one of {_SHARE_MODES}, got {share_mode!r}"
-        )
-
-    plan = session.plan_for(
-        pattern, edge_induced=edge_induced, symmetry_breaking=symmetry_breaking
-    )
-    if num_processes <= 1:
-        return accel.FrontierBatchedEngine(session.view).run(
-            plan, count_only=True
-        )
-
-    if schedule == "dynamic":
-        frontier, weights = _count_frontier(session, plan)
-        ledger = ChunkLedger.build(
-            frontier,
-            weights=weights,
-            chunk_hint=chunk_hint,
-            num_workers=num_processes,
-        )
-    else:
-        ledger = None
-        slices = [(i, num_processes) for i in range(num_processes)]
-
-    def drain(ctx, init, init_args):
-        if schedule == "dynamic":
-            return _tolerant_count(
-                ctx, num_processes, init, init_args, ledger, cancel
-            )
-        with ctx.Pool(
-            processes=num_processes, initializer=init, initargs=init_args
-        ) as pool:
-            return sum(pool.map(_batch_count_slice, slices))
-
-    if share_mode == "fork":
-        return drain(
-            multiprocessing.get_context("fork"),
-            _fork_init,
-            (session.view, plan, ledger),
-        )
-
-    ctx = multiprocessing.get_context("fork" if has_fork else "spawn")
-    signature_args = (pattern.signature(), edge_induced, symmetry_breaking)
-
-    if share_mode == "mmap":
-        path, is_temp = _mmap_store(session)
-        try:
-            return drain(ctx, _mmap_init, (path, *signature_args, ledger))
-        finally:
-            # The spill file is parent-owned: unlink it no matter how the
-            # pool exits — including crash/cancel errors propagating out
-            # of the tolerant drain.  Workers that already mapped it keep
-            # their pages (POSIX unlink-while-mapped), so a mid-run
-            # failure cannot leak the file.
-            if is_temp:
-                try:
-                    os.unlink(path)
-                except OSError:  # pragma: no cover - already gone
-                    pass
-
-    segments, meta = _shm_segments(session.view)
-    try:
-        return drain(ctx, _shm_init, (meta, *signature_args, ledger))
-    finally:
-        # Worker failures surface as errors raised above; the segments
-        # are parent-owned, so unlink here no matter what — a leaked
-        # segment outlives the run (and, on tmpfs, holds its bytes).
-        for seg in segments:
-            seg.close()
-            seg.unlink()
-
-
-# ----------------------------------------------------------------------
-# Multi-pattern process scaling: fused groups over shared frontier chunks
-# ----------------------------------------------------------------------
-
-
-def _many_fork_init(
-    view, plans, groups, ledgers, offsets, cursor, workers, frontier_chunk
-):
-    """Fork initializer for the multi-pattern drain (references only)."""
-    _WORKER_STATE["view"] = view
-    _WORKER_STATE["many_plans"] = plans
-    _WORKER_STATE["many_groups"] = groups
-    _WORKER_STATE["many_ledgers"] = ledgers
-    _WORKER_STATE["many_offsets"] = offsets
-    _WORKER_STATE["cursor"] = cursor
-    _WORKER_STATE["many_workers"] = workers
-    _WORKER_STATE["many_frontier_chunk"] = frontier_chunk
-
-
-def _bind_many_state(
-    signatures, flags, groups, ledgers, offsets, cursor, workers, frontier_chunk
-):
-    """Regenerate the per-pattern plans and bind the fused-drain state."""
-    edge_induced, symmetry_breaking = flags
-    _WORKER_STATE["many_plans"] = [
-        generate_plan(
-            _pattern_from_signature(sig),
-            edge_induced=edge_induced,
-            symmetry_breaking=symmetry_breaking,
-        )
-        for sig in signatures
-    ]
-    _WORKER_STATE["many_groups"] = groups
-    _WORKER_STATE["many_ledgers"] = ledgers
-    _WORKER_STATE["many_offsets"] = offsets
-    _WORKER_STATE["cursor"] = cursor
-    _WORKER_STATE["many_workers"] = workers
-    _WORKER_STATE["many_frontier_chunk"] = frontier_chunk
-
-
-def _many_shm_init(
-    segment_meta,
-    signatures,
-    flags,
-    groups,
-    ledgers,
-    offsets,
-    cursor,
-    workers,
-    frontier_chunk,
-):
-    """Shared-memory initializer: rebuild the view, regenerate the plans."""
-    _shm_init(segment_meta, signatures[0], flags[0], flags[1])
-    _bind_many_state(
-        signatures, flags, groups, ledgers, offsets, cursor, workers,
-        frontier_chunk,
-    )
-
-
-def _many_mmap_init(
-    path,
-    signatures,
-    flags,
-    groups,
-    ledgers,
-    offsets,
-    cursor,
-    workers,
-    frontier_chunk,
-):
-    """Mmap initializer: re-open the store, regenerate the plans."""
-    _mmap_init(path, signatures[0], flags[0], flags[1])
-    _bind_many_state(
-        signatures, flags, groups, ledgers, offsets, cursor, workers,
-        frontier_chunk,
-    )
-
-
-def _drain_many(worker_id: int) -> list[int]:
-    """Drain fused-group frontier chunks; return per-pattern totals.
-
-    Chunk indices are global across groups (``many_offsets`` maps an
-    index to its group); each claimed chunk runs *every* member of its
-    group through one :func:`repro.core.accel.fused_run` call, so the
-    shared first-level gathers keep amortizing inside a chunk exactly as
-    they do in the sequential fused walk.  Under ``schedule="static"``
-    (``cursor is None``) the worker instead takes its stride slice of
-    every group's frontier up front.
-    """
-    view = _WORKER_STATE["view"]
-    plans = _WORKER_STATE["many_plans"]
-    groups = _WORKER_STATE["many_groups"]
-    ledgers = _WORKER_STATE["many_ledgers"]
-    offsets = _WORKER_STATE["many_offsets"]
-    cursor = _WORKER_STATE["cursor"]
-    num_workers = _WORKER_STATE["many_workers"]
-    frontier_chunk = _WORKER_STATE["many_frontier_chunk"]
-    totals = [0] * len(plans)
-    members_of = [
-        [(plans[idx], None, None) for idx in group] for group in groups
-    ]
-
-    def add(group_index: int, counts: Sequence[int]) -> None:
-        for pos, idx in enumerate(groups[group_index]):
-            totals[idx] += counts[pos]
-
-    if cursor is None:
-        for gi, ledger in enumerate(ledgers):
-            starts = ledger.order[worker_id::num_workers]
-            if len(starts) == 0:
-                continue
-            add(gi, accel.fused_run(
-                view, members_of[gi], start_vertices=starts,
-                chunk=frontier_chunk,
-            ))
-        return totals
-
-    num_chunks = offsets[-1]
-    while True:
-        index = cursor.claim()
-        if index >= num_chunks:
-            return totals
-        gi = bisect_right(offsets, index) - 1
-        chunk = ledgers[gi].chunk(index - offsets[gi])
-        add(gi, accel.fused_run(
-            view, members_of[gi], start_vertices=chunk, chunk=frontier_chunk,
-        ))
+    return process_count_many(
+        graph,
+        [pattern],
+        num_processes=num_processes,
+        edge_induced=edge_induced,
+        symmetry_breaking=symmetry_breaking,
+        schedule=schedule,
+        chunk_hint=chunk_hint,
+        cancel=cancel,
+        guard=guard,
+        plan=plan,
+    )[pattern]
 
 
 def process_count_many(
@@ -1311,7 +881,6 @@ def process_count_many(
     edge_induced: bool = True,
     symmetry_breaking: bool = True,
     label_index: bool = True,
-    share_mode: str | None = None,
     schedule: str | None = None,
     chunk_hint: int | None = None,
     frontier_chunk: int | None = None,
@@ -1319,36 +888,53 @@ def process_count_many(
     guard: str | None = None,
     plan: str | None = None,
 ) -> dict[Pattern, int]:
-    """Count every pattern with a process pool over fused frontier chunks.
+    """Count every pattern with worker processes over fused frontier chunks.
 
-    The multi-pattern overload of :func:`process_count` — and the
-    process-level face of the fused runner: patterns are grouped by
-    shared level-0 frontier signature
+    Patterns are grouped by shared level-0 frontier signature
     (:class:`~repro.core.session.MultiPatternPlan`, group floor 1), each
-    group's frontier is cut into degree-weighted chunks, and worker
-    processes pull chunks from one shared queue spanning *all* groups —
-    every chunk runs the whole group through
+    group's frontier (hub-first, label-filtered start tasks) is cut into
+    chunks, and worker processes pull chunks from one shared queue
+    spanning *all* groups — every chunk runs the whole group through
     :func:`repro.core.accel.fused_run`, so motif censuses and FSM-style
     pattern sets scale across cores without giving up the shared
-    first-level gathers.  ``schedule="static"`` pre-assigns stride
-    slices instead (the ablation baseline).
+    first-level gathers.
+
+    ``schedule`` picks how the frontier is cut.  ``"dynamic"`` (default)
+    makes degree-weighted chunks (``chunk_hint`` tunes the granularity:
+    target starts per chunk on a uniform frontier), so whoever finishes
+    early keeps pulling and one mega-hub never holds the whole run.
+    ``"static"`` makes one stride slice per worker (the §5.2
+    interleaving without stealing, kept as the ablation baseline).
+    ``num_processes=None`` defers pool sizing: under ``plan="auto"`` the
+    planner sizes the pool from measured work volume (budgeted at the
+    machine's core count); under ``plan="fixed"`` the legacy default of
+    :data:`DEFAULT_NUM_PROCESSES` applies.  ``None`` knobs inherit the
+    session's :class:`~repro.core.session.ExecOptions` defaults.
 
     Counts are pinned to the sequential ``count_many`` (the census/Möbius
     rewrite is a sequential-only optimization; the process path counts
     every requested plan directly).  ``frontier_chunk`` bounds each
     worker engine's per-dispatch frontier exactly as in sequential runs.
     With ``num_processes <= 1`` the call falls back to the sequential
-    session path.  ``share_mode``
-    supports ``"fork"``, ``"shm"`` and ``"mmap"`` (workers re-open the
-    on-disk ``.rgx`` store and share pages through the OS page cache).
+    session path.  Workers inherit the parent's CSR view where the fork
+    start method exists and otherwise re-open the graph's ``.rgx`` store
+    (its own degree-sorted file, or one temporary spill), so scaling
+    ``num_processes`` never multiplies graph copies or pickling time.
 
-    ``cancel`` and ``guard`` behave exactly as in :func:`process_count`
-    — dynamic schedules get crash-tolerant chunk leases (mid-run worker
-    deaths are requeued for exact counts, poison chunks raise
-    :class:`~repro.errors.WorkerCrashError`), shared-flag cancellation
-    raises :class:`~repro.errors.QueryCancelledError` with per-pattern
-    partial totals in ``partial.detail["totals"]``, and the admission
-    guard refuses or downgrades predicted-explosive pattern sets.
+    Both schedules are **crash-tolerant**: chunk leases over a shared
+    :class:`~repro.runtime.scheduler.LeaseBoard` let the parent requeue
+    any chunk whose worker died before its counts landed (bounded
+    retries, then :class:`~repro.errors.WorkerCrashError` carrying the
+    partial), so a mid-run worker death still yields exact counts.
+    ``cancel`` (any :class:`~repro.core.callbacks.ExplorationControl`,
+    e.g. a :class:`~repro.runtime.termination.DeadlineControl`) is
+    bridged into a shared flag workers honor *mid-chunk*; firing it with
+    chunks outstanding raises :class:`~repro.errors.QueryCancelledError`
+    with per-pattern partial totals in ``partial.detail["totals"]``.
+    ``guard`` ("refuse" or "downgrade") runs the
+    :mod:`~repro.runtime.guards` admission probe first — refusing
+    predicted-explosive pattern sets, or capping the worker count and
+    the frontier chunk.
     """
     session = as_session(graph)
     plan_mode = _resolve_plan_mode(session, plan)
@@ -1377,14 +963,12 @@ def process_count_many(
             num_workers=num_processes,
         )
         num_processes = workload_plan.num_workers
-        if schedule is None and cancel is None:
+        if schedule is None:
             schedule = workload_plan.schedule
         if chunk_hint is None:
             chunk_hint = workload_plan.chunk_hint
         frontier_chunk = workload_plan.frontier_chunk
     schedule, chunk_hint = _resolve_scheduling(session, schedule, chunk_hint)
-    if cancel is not None and schedule != "dynamic":
-        raise ValueError("cancel requires schedule='dynamic'")
     if num_processes <= 1 or not patterns:
         return session.count_many(
             patterns,
@@ -1393,13 +977,6 @@ def process_count_many(
             label_index=label_index,
             frontier_chunk=frontier_chunk,
             plan=plan_mode,
-        )
-    has_fork = "fork" in multiprocessing.get_all_start_methods()
-    if share_mode is None:
-        share_mode = "fork" if has_fork else "shm"
-    if share_mode not in _SHARE_MODES:
-        raise ValueError(
-            f"share_mode must be one of {_SHARE_MODES}, got {share_mode!r}"
         )
 
     ordered = session.ordered
@@ -1430,103 +1007,39 @@ def process_count_many(
             frontier = np.arange(view.num_vertices - 1, -1, -1, dtype=np.int64)
         else:
             frontier = np.asarray(starts, dtype=np.int64)
-        ledger = ChunkLedger.build(
-            frontier,
-            weights=degrees[frontier] + 1,
-            chunk_hint=chunk_hint,
-            num_workers=num_processes,
-        )
+        if schedule == "static":
+            ledger = ChunkLedger.static(frontier, num_processes)
+        else:
+            ledger = ChunkLedger.build(
+                frontier,
+                weights=degrees[frontier] + 1,
+                chunk_hint=chunk_hint,
+                num_workers=num_processes,
+            )
         groups.append(tuple(group))
         ledgers.append(ledger)
         offsets.append(offsets[-1] + len(ledger))
 
-    worker_ids = list(range(num_processes))
-    dynamic = schedule == "dynamic"
-    if share_mode == "fork":
-        ctx = multiprocessing.get_context("fork")
-        init_args = (
-            view, plans, groups, ledgers, offsets, None,
-            num_processes, frontier_chunk,
+    job = _Job(view, plans, groups, ledgers, offsets, frontier_chunk)
+    if _fork_available():
+        totals = _drain(
+            multiprocessing.get_context("fork"), num_processes, job, cancel,
+            len(patterns),
         )
-        if dynamic:
-            totals = _tolerant_count_many(
-                ctx, num_processes, _many_fork_init, init_args, groups,
-                ledgers, offsets, cancel, len(patterns),
-            )
-            return dict(zip(patterns, totals))
-        with ctx.Pool(
-            processes=num_processes,
-            initializer=_many_fork_init,
-            initargs=init_args,
-        ) as pool:
-            per_worker = pool.map(_drain_many, worker_ids, chunksize=1)
-    elif share_mode == "shm":
-        ctx = multiprocessing.get_context("fork" if has_fork else "spawn")
-        segments, meta = _shm_segments(view)
-        try:
-            init_args = (
-                meta,
-                [p.signature() for p in patterns],
-                (edge_induced, symmetry_breaking),
-                groups,
-                ledgers,
-                offsets,
-                None,
-                num_processes,
-                frontier_chunk,
-            )
-            if dynamic:
-                totals = _tolerant_count_many(
-                    ctx, num_processes, _many_shm_init, init_args, groups,
-                    ledgers, offsets, cancel, len(patterns),
-                )
-                return dict(zip(patterns, totals))
-            with ctx.Pool(
-                processes=num_processes,
-                initializer=_many_shm_init,
-                initargs=init_args,
-            ) as pool:
-                per_worker = pool.map(_drain_many, worker_ids, chunksize=1)
-        finally:
-            for seg in segments:
-                seg.close()
-                seg.unlink()
-    else:  # share_mode == "mmap"
-        ctx = multiprocessing.get_context("fork" if has_fork else "spawn")
-        path, is_temp = _mmap_store(session)
-        try:
-            init_args = (
-                path,
-                [p.signature() for p in patterns],
-                (edge_induced, symmetry_breaking),
-                groups,
-                ledgers,
-                offsets,
-                None,
-                num_processes,
-                frontier_chunk,
-            )
-            if dynamic:
-                totals = _tolerant_count_many(
-                    ctx, num_processes, _many_mmap_init, init_args, groups,
-                    ledgers, offsets, cancel, len(patterns),
-                )
-                return dict(zip(patterns, totals))
-            with ctx.Pool(
-                processes=num_processes,
-                initializer=_many_mmap_init,
-                initargs=init_args,
-            ) as pool:
-                per_worker = pool.map(_drain_many, worker_ids, chunksize=1)
-        finally:
-            if is_temp:
-                try:
-                    os.unlink(path)
-                except OSError:  # pragma: no cover - already gone
-                    pass
-
-    totals = [0] * len(patterns)
-    for worker_totals in per_worker:
-        for idx, value in enumerate(worker_totals):
-            totals[idx] += value
+        return dict(zip(patterns, totals))
+    path, is_temp = _rgx_store(session)
+    try:
+        totals = _drain(
+            multiprocessing.get_context("spawn"), num_processes,
+            replace(job, graph=path), cancel, len(patterns),
+        )
+    finally:
+        # The spill file is parent-owned: unlink it no matter how the
+        # drain exits — crash/cancel errors included.  Workers that
+        # already mapped it keep their pages (POSIX unlink-while-mapped).
+        if is_temp:
+            try:
+                os.unlink(path)
+            except OSError:  # pragma: no cover - already gone
+                pass
     return dict(zip(patterns, totals))

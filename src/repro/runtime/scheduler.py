@@ -14,23 +14,30 @@ Both concurrent runtimes consume this layer:
 * :func:`repro.runtime.parallel.parallel_match` worker *threads* pull
   chunks from a :class:`TaskScheduler` (an atomic-counter cursor guarded
   by a ``threading.Lock``);
-* :func:`repro.runtime.parallel.process_count` /
-  :func:`~repro.runtime.parallel.process_count_many` worker *processes*
-  share a :class:`ProcessCursor` (a ``multiprocessing.Value`` counter)
-  over the same :class:`ChunkLedger` — the ledger is immutable and
-  reaches workers fork-inherited or pickled once, so only the cursor is
-  ever contended.
+* :func:`repro.runtime.parallel.process_count_many` (and its one-pattern
+  wrapper :func:`~repro.runtime.parallel.process_count`) worker
+  *processes* share a :class:`ProcessCursor` (a ``multiprocessing.Value``
+  counter) over the same :class:`ChunkLedger`, and record per-chunk
+  leases and counts on a :class:`LeaseBoard` so the parent can requeue
+  the chunks of a worker that died.  The ledger is immutable and reaches
+  workers fork-inherited or pickled once, so only the cursor and the
+  board are ever contended.
 
-``schedule="static"`` bypasses the cursor entirely:
-:func:`static_slices` hands each worker a stride slice of the frontier
-up front (the pre-work-stealing behaviour, kept as the ablation
-baseline the scalability benchmark measures against).
+The two schedules are two ways to cut the ledger, drained by the same
+cursor: ``schedule="dynamic"`` uses :meth:`ChunkLedger.build`'s
+degree-weighted chunks, ``schedule="static"`` uses
+:meth:`ChunkLedger.static`'s one stride slice per worker — the same
+partition :func:`static_slices` gives the thread pool (the
+pre-work-stealing behaviour, kept as the ablation baseline the
+scalability benchmark measures against).
 """
 
 from __future__ import annotations
 
 import threading
 from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "ChunkLedger",
@@ -154,6 +161,23 @@ class ChunkLedger:
                 total / (max(1, num_workers) * CHUNKS_PER_WORKER),
             )
         return cls(order, weighted_boundaries(weights, cap))
+
+    @classmethod
+    def static(cls, order: Sequence[int], num_workers: int) -> "ChunkLedger":
+        """One stride slice per worker: the :func:`static_slices` partition.
+
+        Chunk ``i`` holds ``order[i::num_workers]`` (workers beyond the
+        task count get no empty chunk), so the static schedule drains the
+        same board as the dynamic one and only the cut differs.
+        """
+        workers = min(max(1, num_workers), len(order))
+        if workers == 0:
+            return cls(order, [0])
+        slices = static_slices(order, workers)
+        boundaries = [0]
+        for part in slices:
+            boundaries.append(boundaries[-1] + len(part))
+        return cls(np.concatenate(slices), boundaries)
 
     def __len__(self) -> int:
         return len(self.boundaries) - 1

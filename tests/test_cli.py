@@ -336,12 +336,15 @@ class TestGuardFlags:
                  "--processes", "2", "--max-matches", "5"]
             )
 
-    def test_deadline_with_static_schedule_rejected(self):
-        with pytest.raises(SystemExit, match="dynamic"):
-            run_cli(
-                ["count", *MICO, "--pattern", "clique:3", "--processes",
-                 "2", "--schedule", "static", "--deadline", "1"]
-            )
+    def test_deadline_with_static_schedule_cancels(self):
+        # Static process runs drain the same lease board as dynamic ones,
+        # so an expired deadline cancels them with a truncated partial.
+        code, out = run_cli(
+            ["count", *MICO, "--pattern", "clique:3", "--processes",
+             "2", "--schedule", "static", "--deadline", "0.000001"]
+        )
+        assert code == 0
+        assert "truncated: cancelled" in out
 
     def test_motifs_refused_exits_nonzero(self, monkeypatch):
         from repro.runtime import guards

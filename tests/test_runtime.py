@@ -28,21 +28,6 @@ from repro.runtime import (
 )
 
 
-def _boom(_args):
-    """A picklable stand-in worker that fails mid-run."""
-    raise RuntimeError("worker exploded")
-
-
-def _boom_worker(*_args):
-    """Tolerant-worker stand-in: dies in every spawned child.
-
-    The parent sees a nonzero exit, requeues the leased chunks, and —
-    once retries are exhausted — reports WorkerCrashError; patching the
-    module works because fork children inherit the patched module.
-    """
-    raise RuntimeError("worker exploded")
-
-
 class TestTaskScheduler:
     def test_chunks_cover_everything_once(self):
         sched = TaskScheduler(range(100), chunk_size=7)
@@ -222,6 +207,26 @@ class TestParallelMatchEngines:
         assert result.matches == expected
 
 
+@pytest.fixture
+def sharing(request, monkeypatch):
+    """How process workers get the graph.
+
+    ``"fork"`` is the default path: workers inherit the parent's view.
+    ``"mmap"`` forces the spawn path through the ``_fork_available``
+    seam: workers re-open the graph's ``.rgx`` store (its own
+    degree-sorted file, or one temporary spill) and map it.
+    """
+    if request.param == "fork":
+        if not parallel._fork_available():
+            pytest.skip("fork start method unavailable")
+    else:
+        monkeypatch.setattr(parallel, "_fork_available", lambda: False)
+    return request.param
+
+
+SHARING = ("fork", "mmap")
+
+
 class TestProcessCount:
     def test_matches_sequential(self):
         g = erdos_renyi(60, 0.15, seed=6)
@@ -239,19 +244,11 @@ class TestProcessCount:
         )
         assert got == expected
 
-    @pytest.mark.parametrize("share_mode", ["fork", "shm", "mmap"])
-    def test_share_modes_agree(self, share_mode):
-        if share_mode == "fork":
-            import multiprocessing
-
-            if "fork" not in multiprocessing.get_all_start_methods():
-                pytest.skip("fork start method unavailable")
+    @pytest.mark.parametrize("sharing", SHARING, indirect=True)
+    def test_share_modes_agree(self, sharing):
         g = erdos_renyi(60, 0.15, seed=6)
         expected = count(g, generate_clique(3))
-        got = process_count(
-            g, generate_clique(3), num_processes=3, share_mode=share_mode
-        )
-        assert got == expected
+        assert process_count(g, generate_clique(3), num_processes=3) == expected
 
     def test_shared_labeled_graph(self):
         from repro.graph import with_random_labels
@@ -264,57 +261,32 @@ class TestProcessCount:
         expected = count(g, p)
         assert process_count(g, p, num_processes=2) == expected
 
-    @pytest.mark.parametrize("share_mode", ["fork", "shm", "mmap"])
-    def test_dense_graph_uses_accelerated_workers(self, share_mode):
+    @pytest.mark.parametrize("sharing", SHARING, indirect=True)
+    def test_dense_graph_uses_accelerated_workers(self, sharing):
         """Dense regime: workers run the batched engine over shared CSR."""
-        import multiprocessing
-
-        if share_mode == "fork" and (
-            "fork" not in multiprocessing.get_all_start_methods()
-        ):
-            pytest.skip("fork start method unavailable")
         g = erdos_renyi(200, 0.7, seed=13)
         expected = count(g, generate_clique(3))
-        got = process_count(
-            g, generate_clique(3), num_processes=2, share_mode=share_mode
-        )
-        assert got == expected
+        assert process_count(g, generate_clique(3), num_processes=2) == expected
 
-    @pytest.mark.parametrize("share_mode", ["fork", "shm", "mmap"])
-    def test_dense_labeled_graph_shares_label_arrays(self, share_mode):
+    @pytest.mark.parametrize("sharing", SHARING, indirect=True)
+    def test_dense_labeled_graph_shares_label_arrays(self, sharing):
         """Labels must survive CSR sharing into accelerated workers."""
-        import multiprocessing
-
         from repro.graph import with_random_labels
         from repro.pattern import generate_clique as clique
 
-        if share_mode == "fork" and (
-            "fork" not in multiprocessing.get_all_start_methods()
-        ):
-            pytest.skip("fork start method unavailable")
         g = with_random_labels(erdos_renyi(200, 0.7, seed=17), 3, seed=3)
         p = clique(3)
         p.set_label(0, 1)
         p.set_label(1, 2)
         expected = count(g, p)
-        got = process_count(g, p, num_processes=2, share_mode=share_mode)
-        assert got == expected
+        assert process_count(g, p, num_processes=2) == expected
 
-    @pytest.mark.parametrize("share_mode", ["fork", "shm", "mmap"])
-    def test_moderate_density_uses_batched_workers(self, share_mode):
+    @pytest.mark.parametrize("sharing", SHARING, indirect=True)
+    def test_moderate_density_uses_batched_workers(self, sharing):
         """Batched workers agree with the interpreter at moderate density."""
-        import multiprocessing
-
-        if share_mode == "fork" and (
-            "fork" not in multiprocessing.get_all_start_methods()
-        ):
-            pytest.skip("fork start method unavailable")
         g = erdos_renyi(80, 0.1, seed=21)  # avg degree ~8
         expected = count(g, generate_clique(3), engine="reference")
-        got = process_count(
-            g, generate_clique(3), num_processes=3, share_mode=share_mode
-        )
-        assert got == expected
+        assert process_count(g, generate_clique(3), num_processes=3) == expected
 
     def test_labeled_frontier_slicing_partitions_work(self):
         """Workers slice the label-filtered frontier, not vertex ranges."""
@@ -329,120 +301,72 @@ class TestProcessCount:
         for procs in (2, 3):
             assert process_count(g, p, num_processes=procs) == expected
 
-    def test_unknown_share_mode_rejected(self):
-        g = erdos_renyi(20, 0.3, seed=2)
-        with pytest.raises(ValueError):
-            process_count(
-                g, generate_clique(3), num_processes=2, share_mode="carrier-pigeon"
-            )
-        # Workers always share CSR arrays; there is no pickling mode.
-        with pytest.raises(ValueError):
-            process_count(
-                g, generate_clique(3), num_processes=2, share_mode="pickle"
-            )
-
     @pytest.mark.parametrize("schedule", ["dynamic", "static"])
-    def test_pickle_fallback_counts_identical(self, schedule):
-        """Every share mode agrees with the interpreter on a hard query.
+    def test_pickle_fallback_counts_identical(self, schedule, monkeypatch):
+        """Both sharing paths agree with the interpreter on a hard query.
 
-        Regression guard for the share-mode matrix: a labeled pattern
-        with an anti-edge exercises label filtering and the anti-edge
-        kernels in the workers all at once.
+        Regression guard for the sharing matrix: a labeled pattern with
+        an anti-edge exercises label filtering and the anti-edge kernels
+        in the workers all at once — first on the default path, then on
+        the spawn + ``.rgx`` path.
         """
         g = with_random_labels(erdos_renyi(50, 0.18, seed=12), 3, seed=7)
         p = Pattern.from_edges([(0, 1), (1, 2)], anti_edges=[(0, 2)])
         p.set_label(1, 1)
         expected = count(g, p, engine="reference")
-        for mode in ("fork", "shm", "mmap"):
-            got = process_count(
-                g, p, num_processes=3, share_mode=mode, schedule=schedule
-            )
-            assert got == expected, (mode, schedule)
+        got = process_count(g, p, num_processes=3, schedule=schedule)
+        assert got == expected, ("default", schedule)
+        monkeypatch.setattr(parallel, "_fork_available", lambda: False)
+        got = process_count(g, p, num_processes=3, schedule=schedule)
+        assert got == expected, ("spawn", schedule)
+
+
+def _fail_to_start(self):
+    raise OSError("no more processes")
 
 
 class TestProcessCountFailurePaths:
-    """Workers dying mid-run must not leak shared-memory segments."""
+    """Failed or crashed runs must not leak spill files or graph state."""
 
-    @pytest.mark.parametrize("schedule", ["dynamic", "static"])
-    def test_shm_segments_unlinked_when_worker_raises(
-        self, monkeypatch, schedule
-    ):
-        from multiprocessing import shared_memory
+    @pytest.mark.parametrize("many", [False, True], ids=["single", "many"])
+    def test_in_process_fallback_pins_nothing(self, monkeypatch, many):
+        # When no worker can start, the runner drains in-process; that
+        # run must not leave the graph's view (or plan, or ledger) bound
+        # anywhere once the caller drops its session.
+        import gc
+        import multiprocessing.process
+        import weakref
 
-        from repro.runtime import parallel as parallel_module
-
-        g = erdos_renyi(40, 0.2, seed=3)
-        recorded: list[str] = []
-        original = parallel_module._shm_segments
-
-        def recording(view):
-            segments, meta = original(view)
-            recorded.extend(name for name, _ in meta.values() if name)
-            return segments, meta
-
-        monkeypatch.setattr(parallel_module, "_shm_segments", recording)
-        # Under the fork start method the children inherit the patched
-        # module.  Dynamic workers dying surfaces as WorkerCrashError
-        # after the requeue retries run dry; static pool workers raising
-        # propagates the exception itself.
-        if schedule == "dynamic":
-            from repro.errors import WorkerCrashError
-
-            monkeypatch.setattr(
-                parallel_module, "_tolerant_worker", _boom_worker
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess, "start", _fail_to_start
+        )
+        g = erdos_renyi(50, 0.2, seed=8)
+        session = MiningSession(g)
+        view_ref = weakref.ref(session.view)
+        if many:
+            motifs = generate_all_vertex_induced(3)
+            expected = MiningSession(g).count_many(motifs, edge_induced=False)
+            got = process_count_many(
+                session, motifs, num_processes=2, edge_induced=False
             )
-            expectation = pytest.raises(WorkerCrashError)
         else:
-            monkeypatch.setattr(parallel_module, "_batch_count_slice", _boom)
-            expectation = pytest.raises(RuntimeError, match="worker exploded")
-        with expectation:
-            process_count(
-                g,
-                generate_clique(3),
-                num_processes=2,
-                share_mode="shm",
-                schedule=schedule,
-            )
-        assert recorded, "shm mode allocated no segments"
-        for name in recorded:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_shm_segments_unlinked_on_success_too(self, monkeypatch):
-        from multiprocessing import shared_memory
-
-        from repro.runtime import parallel as parallel_module
-
-        g = erdos_renyi(40, 0.2, seed=4)
-        recorded: list[str] = []
-        original = parallel_module._shm_segments
-
-        def recording(view):
-            segments, meta = original(view)
-            recorded.extend(name for name, _ in meta.values() if name)
-            return segments, meta
-
-        monkeypatch.setattr(parallel_module, "_shm_segments", recording)
-        expected = count(g, generate_clique(3))
-        assert process_count(
-            g, generate_clique(3), num_processes=2, share_mode="shm"
-        ) == expected
-        assert recorded
-        for name in recorded:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+            expected = count(g, generate_clique(3))
+            got = process_count(session, generate_clique(3), num_processes=2)
+        assert got == expected
+        del session, g
+        gc.collect()
+        assert view_ref() is None
 
     @pytest.mark.parametrize("schedule", ["dynamic", "static"])
     def test_mmap_spill_unlinked_when_worker_raises(
         self, monkeypatch, schedule
     ):
-        import os
-
         from repro.runtime import parallel as parallel_module
 
+        monkeypatch.setattr(parallel_module, "_fork_available", lambda: False)
         g = erdos_renyi(40, 0.2, seed=3)
         recorded: list[str] = []
-        original = parallel_module._mmap_store
+        original = parallel_module._rgx_store
 
         def recording(session):
             path, is_temp = original(session)
@@ -450,112 +374,67 @@ class TestProcessCountFailurePaths:
             recorded.append(path)
             return path, is_temp
 
-        monkeypatch.setattr(parallel_module, "_mmap_store", recording)
-        if schedule == "dynamic":
-            from repro.errors import WorkerCrashError
-
-            monkeypatch.setattr(
-                parallel_module, "_tolerant_worker", _boom_worker
-            )
-            expectation = pytest.raises(WorkerCrashError)
-        else:
-            monkeypatch.setattr(parallel_module, "_batch_count_slice", _boom)
-            expectation = pytest.raises(RuntimeError, match="worker exploded")
-        with expectation:
+        monkeypatch.setattr(parallel_module, "_rgx_store", recording)
+        # Every spawned worker dies on its first lease; with no retries
+        # the run gives up after one round.
+        monkeypatch.setenv(parallel.FAULT_ENV, "*:*")
+        monkeypatch.setattr(parallel_module, "MAX_CHUNK_RETRIES", 0)
+        with pytest.raises(WorkerCrashError):
             process_count(
-                g,
-                generate_clique(3),
-                num_processes=2,
-                share_mode="mmap",
-                schedule=schedule,
+                g, generate_clique(3), num_processes=2, schedule=schedule
             )
-        assert recorded, "mmap mode spilled no store"
+        assert recorded, "spawn path spilled no store"
         for path in recorded:
             assert not os.path.exists(path)
 
     def test_mmap_spill_unlinked_on_success_too(self, monkeypatch):
-        import os
-
         from repro.runtime import parallel as parallel_module
 
+        monkeypatch.setattr(parallel_module, "_fork_available", lambda: False)
         g = erdos_renyi(40, 0.2, seed=4)
         recorded: list[str] = []
-        original = parallel_module._mmap_store
+        original = parallel_module._rgx_store
 
         def recording(session):
             path, is_temp = original(session)
             recorded.append(path)
             return path, is_temp
 
-        monkeypatch.setattr(parallel_module, "_mmap_store", recording)
+        monkeypatch.setattr(parallel_module, "_rgx_store", recording)
         expected = count(g, generate_clique(3))
-        assert process_count(
-            g, generate_clique(3), num_processes=2, share_mode="mmap"
-        ) == expected
+        assert process_count(g, generate_clique(3), num_processes=2) == expected
         assert recorded
         for path in recorded:
             assert not os.path.exists(path)
 
-    def test_mmap_reuses_degree_sorted_store_file(self, tmp_path):
+    def test_mmap_reuses_degree_sorted_store_file(self, tmp_path, monkeypatch):
         """A degree-ordered .rgx-backed session shares its own file with
-        workers instead of spilling a copy."""
+        spawned workers instead of spilling a copy."""
+        monkeypatch.setattr(parallel, "_fork_available", lambda: False)
         from repro.core import MiningSession
         from repro.graph import save_mmap
         from repro.graph.binary_io import GraphStore
-        from repro.runtime.parallel import _mmap_store
+        from repro.runtime.parallel import _rgx_store
 
         g = erdos_renyi(50, 0.2, seed=6)
         ordered, _ = g.degree_ordered()
         path = tmp_path / "ordered.rgx"
         save_mmap(ordered, path)
         session = MiningSession(GraphStore(path))
-        got_path, is_temp = _mmap_store(session)
+        got_path, is_temp = _rgx_store(session)
         assert not is_temp
         assert got_path == str(path)
         expected = count(g, generate_clique(3))
         assert process_count(
-            session, generate_clique(3), num_processes=2, share_mode="mmap"
+            session, generate_clique(3), num_processes=2
         ) == expected
         assert path.exists()  # reused files are never unlinked
-
-    def test_many_shm_segments_unlinked_when_worker_raises(self, monkeypatch):
-        from multiprocessing import shared_memory
-
-        from repro.runtime import parallel as parallel_module
-
-        g = erdos_renyi(40, 0.2, seed=5)
-        recorded: list[str] = []
-        original = parallel_module._shm_segments
-
-        def recording(view):
-            segments, meta = original(view)
-            recorded.extend(name for name, _ in meta.values() if name)
-            return segments, meta
-
-        monkeypatch.setattr(parallel_module, "_shm_segments", recording)
-        from repro.errors import WorkerCrashError
-
-        monkeypatch.setattr(
-            parallel_module, "_tolerant_worker_many", _boom_worker
-        )
-        with pytest.raises(WorkerCrashError):
-            process_count_many(
-                g,
-                generate_all_vertex_induced(3),
-                num_processes=2,
-                edge_induced=False,
-                share_mode="shm",
-            )
-        assert recorded
-        for name in recorded:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
 
 
 class TestProcessCountMany:
     @pytest.mark.parametrize("schedule", ["dynamic", "static"])
-    @pytest.mark.parametrize("share_mode", ["fork", "shm", "mmap"])
-    def test_census_pins_sequential(self, schedule, share_mode):
+    @pytest.mark.parametrize("sharing", SHARING, indirect=True)
+    def test_census_pins_sequential(self, schedule, sharing):
         g = erdos_renyi(70, 0.12, seed=8)
         motifs = generate_all_vertex_induced(3)
         expected = MiningSession(g).count_many(motifs, edge_induced=False)
@@ -564,7 +443,6 @@ class TestProcessCountMany:
             motifs,
             num_processes=3,
             edge_induced=False,
-            share_mode=share_mode,
             schedule=schedule,
         )
         assert got == expected
@@ -602,7 +480,7 @@ class TestProcessCountMany:
         )
         assert got == expected
 
-    def test_frontier_chunk_forwarded_to_workers(self):
+    def test_frontier_chunk_forwarded_to_workers(self, monkeypatch, tmp_path):
         # A pathological chunk bound must change nothing but memory use.
         g = erdos_renyi(50, 0.15, seed=15)
         motifs = generate_all_vertex_induced(3)
@@ -612,6 +490,31 @@ class TestProcessCountMany:
             motifs, edge_induced=False, num_processes=2, frontier_chunk=2
         )
         assert got == expected
+        if not parallel._fork_available():
+            return
+        # A guard downgrade tightens the frontier chunk of single-pattern
+        # runs too: forked workers (which inherit this patch) log the
+        # chunk bound each fused call receives.
+        from repro.core import accel
+        from repro.runtime import guards
+
+        log = tmp_path / "chunks.log"
+        original = accel.fused_run
+
+        def logging_fused_run(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{kwargs.get('chunk')}\n")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(accel, "fused_run", logging_fused_run)
+        monkeypatch.setattr(guards, "EXPLOSIVE_PARTIALS", 1.0)
+        p = generate_clique(3)
+        got = process_count(g, p, num_processes=2, guard="downgrade")
+        assert got == count(g, p)
+        assert log.exists(), "no worker ran a fused chunk"
+        assert set(log.read_text().split()) == {
+            str(guards.DOWNGRADE_FRONTIER_CHUNK)
+        }
 
     def test_session_verb_rejects_hooks_under_processes(self):
         from repro.errors import MatchingError
@@ -636,21 +539,6 @@ class TestProcessCountMany:
             g, motifs, num_processes=1, edge_induced=False
         ) == MiningSession(g).count_many(motifs, edge_induced=False)
 
-    def test_unsupported_share_mode_rejected(self):
-        g = erdos_renyi(20, 0.3, seed=14)
-        with pytest.raises(ValueError):
-            process_count_many(
-                g, [generate_clique(3)], num_processes=2, share_mode="pickle"
-            )
-
-
-def _skip_unless_fork_available(share_mode):
-    if share_mode == "fork":
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("fork start method unavailable")
-
 
 class TestFaultInjection:
     """Deterministic crash tolerance via the REPRO_FAULT_WORKER_DIE knob.
@@ -670,17 +558,26 @@ class TestFaultInjection:
         g = erdos_renyi(60, 0.15, seed=6)
         return g, count(g, generate_clique(3))
 
-    @pytest.mark.parametrize("share_mode", ["fork", "shm", "mmap"])
+    @pytest.mark.parametrize(
+        "sharing, schedule",
+        [
+            ("fork", "dynamic"),
+            ("mmap", "dynamic"),
+            ("fork", "static"),
+            ("mmap", "static"),
+        ],
+        ids=["fork", "mmap", "fork-static", "mmap-static"],
+        indirect=["sharing"],
+    )
     def test_worker_death_recovers_to_exact_count(
-        self, share_mode, monkeypatch
+        self, sharing, schedule, monkeypatch
     ):
-        _skip_unless_fork_available(share_mode)
+        # Under static, chunk 0 is worker 0's whole stride slice: its
+        # death requeues the slice onto a fresh worker.
         g, expected = self._graph_and_expected()
         monkeypatch.setenv(parallel.FAULT_ENV, "0:0")
-        got = process_count(
-            g, generate_clique(3), share_mode=share_mode, **self.PATTERN_KW
-        )
-        assert got == expected
+        kw = dict(self.PATTERN_KW, schedule=schedule)
+        assert process_count(g, generate_clique(3), **kw) == expected
 
     def test_always_dying_worker_id_still_recovers(self, monkeypatch):
         # "0:*" kills worker id 0 on its first lease; every later spawn
@@ -701,12 +598,27 @@ class TestFaultInjection:
         # Every chunk except the poisoned one was still counted exactly.
         assert 0 < partial < expected
 
-    def test_mmap_spill_cleaned_up_after_recovery(self, monkeypatch, tmp_path):
+    def test_static_poison_slice_exhausts_retries(self, monkeypatch):
+        # Static runs lease their stride slices on the same board, so a
+        # slice that kills every worker is reported, not lost or hung.
+        g, expected = self._graph_and_expected()
+        monkeypatch.setenv(parallel.FAULT_ENV, "*:1")
+        with pytest.raises(WorkerCrashError) as info:
+            process_count(
+                g, generate_clique(3), num_processes=2, schedule="static"
+            )
+        partial = info.value.partial
+        assert partial.detail["failed_chunks"] == [1]
+        assert partial.detail["num_chunks"] == 2
+        assert 0 < partial < expected
+
+    def test_mmap_spill_cleaned_up_after_recovery(self, monkeypatch):
         from repro.runtime import parallel as parallel_module
 
+        monkeypatch.setattr(parallel_module, "_fork_available", lambda: False)
         g, expected = self._graph_and_expected()
         recorded: list[str] = []
-        original = parallel_module._mmap_store
+        original = parallel_module._rgx_store
 
         def recording(session):
             path, is_temp = original(session)
@@ -714,11 +626,9 @@ class TestFaultInjection:
                 recorded.append(path)
             return path, is_temp
 
-        monkeypatch.setattr(parallel_module, "_mmap_store", recording)
+        monkeypatch.setattr(parallel_module, "_rgx_store", recording)
         monkeypatch.setenv(parallel.FAULT_ENV, "0:0")
-        got = process_count(
-            g, generate_clique(3), share_mode="mmap", **self.PATTERN_KW
-        )
+        got = process_count(g, generate_clique(3), **self.PATTERN_KW)
         assert got == expected
         assert recorded  # a temp spill happened...
         for path in recorded:
@@ -778,16 +688,23 @@ class TestCancellation:
         )
         assert got == expected
 
-    def test_cancel_requires_dynamic_schedule(self):
+    def test_static_schedule_is_cancellable(self):
+        # Static runs drain the same lease board: one stride-slice chunk
+        # per worker, every one still pending when the cancel fires.
         g = erdos_renyi(30, 0.2, seed=6)
-        with pytest.raises(ValueError, match="dynamic"):
+        with pytest.raises(QueryCancelledError) as info:
             process_count(
                 g,
                 generate_clique(3),
                 num_processes=2,
                 schedule="static",
-                cancel=ExplorationControl(),
+                cancel=DeadlineControl(0.0),
             )
+        partial = info.value.partial
+        assert partial == 0
+        assert partial.truncated
+        assert partial.detail["pending_chunks"] == 2
+        assert partial.detail["num_chunks"] == 2
 
 
 class TestAggregatorThread:

@@ -27,6 +27,7 @@ from repro.pattern import (
 )
 from repro.runtime import (
     ChunkLedger,
+    parallel,
     parallel_match,
     process_count,
     static_slices,
@@ -119,6 +120,21 @@ def test_static_slices_cover_everything_once():
     slices = static_slices(list(range(103)), 4)
     assert len(slices) == 4
     assert sorted(v for s in slices for v in s) == list(range(103))
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+def test_static_ledger_is_the_static_slices_partition(as_array):
+    import numpy as np
+
+    order = list(range(103))
+    ledger = ChunkLedger.static(np.array(order) if as_array else order, 4)
+    assert len(ledger) == 4
+    assert ledger.num_tasks == 103
+    for index, part in enumerate(static_slices(order, 4)):
+        assert list(ledger.chunk(index)) == part
+    # More workers than tasks: no empty chunks; no tasks: no chunks.
+    assert len(ChunkLedger.static([7, 8], 5)) == 2
+    assert len(ChunkLedger.static([], 3)) == 0
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +272,8 @@ class TestThreadScheduleParity:
 class TestMmapBackedScheduleParity:
     """The work-stealing runtime must be storage-agnostic: a graph
     re-opened from an ``.rgx`` mmap store pins the list-backed
-    sequential reference across schedules, engines and share modes."""
+    sequential reference across schedules, engines and both ways process
+    workers get the graph (fork-inherited view, re-opened store)."""
 
     @given(seeds)
     @settings(max_examples=6, deadline=None)
@@ -280,10 +297,16 @@ class TestMmapBackedScheduleParity:
                     schedule=schedule,
                 )
                 assert result.matches == expected, schedule
+            # Default path (workers inherit the view), then the spawn
+            # path (workers re-open an .rgx store).
             assert process_count(
                 h, p, num_processes=2, edge_induced=edge_induced,
-                share_mode="mmap",
             ) == expected
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(parallel, "_fork_available", lambda: False)
+                assert process_count(
+                    h, p, num_processes=2, edge_induced=edge_induced,
+                ) == expected
         finally:
             os.unlink(path)
 
